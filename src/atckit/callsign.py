@@ -24,6 +24,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from .corpus import CorpusFormatError, iter_lexicon_lines
+
 CALLSIGN_RE = re.compile(r"([A-Z]{3})([0-9]{1,4})([A-Z]{0,2})")
 _CODE_RE = re.compile(r"[A-Z]{3}")
 
@@ -204,27 +206,23 @@ def spoken_alphabet(lexicon: TelephonyLexicon) -> frozenset[str]:
 def load_telephony_lexicon(path: str | Path) -> TelephonyLexicon:
     """Load a lexicon from TSV: ``ICAO_CODE<TAB>spoken designator`` per line.
 
-    Lines starting with ``#`` and blank lines are ignored. Designators are
-    lowercased and may span several words.
+    ``#`` starts a comment (full-line or trailing); blank lines are
+    ignored. Designators are lowercased and may span several words.
     """
     return _parse_telephony(Path(path).read_text(encoding="utf-8"), source=str(path))
 
 
 def _parse_telephony(text: str, source: str = "<string>") -> TelephonyLexicon:
     entries: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in iter_lexicon_lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{source}:{lineno}: expected 'CODE<TAB>designator', got {line!r}")
-        code, designator = parts[0].strip(), parts[1].strip().lower()
+            raise CorpusFormatError(f"{source}:{lineno}: expected 'CODE<TAB>designator', got {line!r}")
+        code, tokens = parts[0].strip(), tuple(parts[1].lower().split())
         if not _CODE_RE.fullmatch(code):
-            raise ValueError(f"{source}:{lineno}: bad airline code {code!r}")
-        tokens = tuple(designator.split())
+            raise CorpusFormatError(f"{source}:{lineno}: bad airline code {code!r}")
         if not tokens:
-            raise ValueError(f"{source}:{lineno}: empty designator for {code}")
+            raise CorpusFormatError(f"{source}:{lineno}: empty designator for {code}")
         entries[code] = tokens
     return TelephonyLexicon(entries=entries)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .callsign import TelephonyLexicon
-from .corpus import RoleLabel, Utterance
+from .corpus import CorpusFormatError, RoleLabel, Utterance, iter_lexicon_lines
 from .matcher import CallsignMatch, VariantEntry, expand_context_callsigns, find_matches
 
 # A callsign opening the utterance marks the controller; greetings often
@@ -79,7 +79,7 @@ class RoleLexicon:
     def __post_init__(self) -> None:
         overlap = self.atco_words & self.pilot_words
         if overlap:
-            raise ValueError(f"words listed for both roles: {sorted(overlap)}")
+            raise CorpusFormatError(f"words listed for both roles: {sorted(overlap)}")
 
 
 def _earliest(tokens: tuple[str, ...], words: frozenset[str]) -> tuple[int, str] | None:
@@ -210,22 +210,17 @@ def load_role_lexicon(path: str | Path) -> RoleLexicon:
 def _parse_role_lexicon(text: str, source: str = "<string>") -> RoleLexicon:
     sections: dict[str, set[str]] = {"atco": set(), "pilot": set()}
     current: str | None = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in iter_lexicon_lines(text):
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in sections:
-                raise ValueError(f"{source}:{lineno}: unknown section {name!r}")
-            current = name
-            continue
-        if current is None:
-            raise ValueError(f"{source}:{lineno}: word before any [atco]/[pilot] section")
-        word = line.lower()
-        if len(word.split()) != 1:
-            raise ValueError(f"{source}:{lineno}: one word per line, got {line!r}")
-        sections[current].add(word)
+            current = line[1:-1].strip().lower()
+            if current not in sections:
+                raise CorpusFormatError(f"{source}:{lineno}: unknown section {current!r}")
+        elif current is None:
+            raise CorpusFormatError(f"{source}:{lineno}: word before any [atco]/[pilot] section")
+        elif len(line.split()) != 1:
+            raise CorpusFormatError(f"{source}:{lineno}: one word per line, got {line!r}")
+        else:
+            sections[current].add(line.lower())
     return RoleLexicon(
         atco_words=frozenset(sections["atco"]), pilot_words=frozenset(sections["pilot"])
     )

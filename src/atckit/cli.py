@@ -1,11 +1,11 @@
 """Single entry point exposing the pipeline as composable subcommands.
 
-Every invocation prints exactly one single-line JSON manifest to stdout
-(inputs, outputs, config hash, counts and metrics); data files between
-stages are JSON lines, so stages compose through files or pipes. Output
-files are written atomically (temp file, then rename). Exit codes: 0 on
-success, 1 on a data error (the error name lands in the manifest), 2 on a
-usage error.
+Every invocation prints exactly one single-line strict-JSON manifest to
+stdout (inputs, outputs, config hash, counts and metrics); data files
+between stages are JSON lines, so stages compose through files or pipes.
+Output files are written atomically (temp files, then renames). Exit
+codes: 0 on success, 1 on a data error (the error name lands in the
+manifest), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, Sequence
+
+import numpy as np
 
 from .callsign import (
     MalformedCallsign,
@@ -28,7 +31,7 @@ from .callsign import (
     parse_callsign,
 )
 from .classifier import classify_corpus, default_role_lexicon, load_role_lexicon, RULE_ORDERS
-from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, read_corpus, tokenize
+from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, parse_role, read_corpus, tokenize
 from .evaluation import EmptyReference, accumulate, rates, wer_corpus
 from .matcher import filter_corpus
 from .mmi import (
@@ -44,15 +47,10 @@ from .mmi import (
 )
 from .mmi.check import run_verification
 
+# bad input, never a program bug: each of these maps to exit code 1
 _DATA_ERRORS = (
-    MalformedCallsign,
-    CorpusFormatError,
-    EmptyReference,
-    OovWord,
-    NoPath,
-    DivergenceDetected,
-    FileNotFoundError,
-    ValueError,
+    MalformedCallsign, CorpusFormatError, EmptyReference, OovWord, NoPath, DivergenceDetected,
+    OSError, UnicodeDecodeError,
 )
 
 _KIND_ORDER = {
@@ -68,16 +66,26 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_atomic(path: Path, write: Callable[[IO[str]], None]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+def _write_atomic(paths: Sequence[Path], write: Callable[..., None], binary: bool = False) -> None:
+    """Call ``write`` with one temp file per path; rename them all into place
+    only once it has returned, and remove every temp file on any error."""
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+    tmps: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            write(stream)
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            streams = []
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+                tmps.append(tmp)
+                streams.append(stack.enter_context(os.fdopen(fd, mode, encoding=encoding)))
+            write(*streams)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -93,20 +101,20 @@ def _role_lexicon(args: argparse.Namespace):
     return default_role_lexicon()
 
 
+def _label(obj: dict) -> tuple[str, RoleLabel]:
+    if "id" not in obj or "role" not in obj:
+        raise CorpusFormatError("every record needs 'id' and 'role'")
+    return str(obj["id"]), parse_role(obj["role"])
+
+
 def _read_labels(path: str) -> dict[str, RoleLabel]:
     """id -> role from any JSONL whose records carry both fields."""
     labels: dict[str, RoleLabel] = {}
     with open(path, "r", encoding="utf-8") as stream:
-        for obj in iter_jsonl(stream, source=path):
-            if "id" not in obj or "role" not in obj:
-                raise CorpusFormatError(f"{path}: every record needs 'id' and 'role'")
-            uid = str(obj["id"])
+        for uid, role in iter_jsonl(stream, path, _label):
             if uid in labels:
                 raise CorpusFormatError(f"{path}: duplicate id {uid!r}")
-            try:
-                labels[uid] = RoleLabel(obj["role"])
-            except ValueError:
-                raise CorpusFormatError(f"{path}: unknown role {obj['role']!r}") from None
+            labels[uid] = role
     return labels
 
 
@@ -149,21 +157,16 @@ def _cmd_filter(args, manifest: dict) -> int:
             ]
             stream.write(json.dumps(record) + "\n")
 
-    _write_atomic(Path(args.out), write)
+    _write_atomic([Path(args.out)], write)
     manifest["outputs"] = {"kept": args.out}
     manifest["result"] = {"stats": stats.to_json()}
     return 0
 
 
 def _cmd_classify(args, manifest: dict) -> int:
-    prefix = args.out_prefix
-    paths = {
-        "atco": Path(f"{prefix}.atco.jsonl"),
-        "pilot": Path(f"{prefix}.pilot.jsonl"),
-        "traces": Path(f"{prefix}.traces.jsonl"),
-    }
+    names = ("atco", "pilot", "traces")
+    paths = [Path(f"{args.out_prefix}.{name}.jsonl") for name in names]
     counts = {"atco": 0, "pilot": 0}
-    rows = {"atco": [], "pilot": [], "traces": []}
     stream = classify_corpus(
         read_corpus(args.corpus),
         _role_lexicon(args),
@@ -171,14 +174,16 @@ def _cmd_classify(args, manifest: dict) -> int:
         rule_order=args.rule_order,
         icao_digits=args.icao_digits,
     )
-    for utt, label, trace in stream:
-        counts[label.value] += 1
-        rows[label.value].append(json.dumps(utt.to_json()))
-        trace_obj = {"id": utt.id, "role": label.value, **trace.to_json()}
-        rows["traces"].append(json.dumps(trace_obj))
-    for name, path in paths.items():
-        _write_atomic(path, lambda s, lines=rows[name]: s.writelines(line + "\n" for line in lines))
-    manifest["outputs"] = {name: str(path) for name, path in paths.items()}
+
+    def write(atco: IO[str], pilot: IO[str], traces: IO[str]) -> None:
+        halves = {"atco": atco, "pilot": pilot}
+        for utt, label, trace in stream:
+            counts[label.value] += 1
+            halves[label.value].write(json.dumps(utt.to_json()) + "\n")
+            traces.write(json.dumps({"id": utt.id, "role": label.value, **trace.to_json()}) + "\n")
+
+    _write_atomic(paths, write)
+    manifest["outputs"] = {name: str(path) for name, path in zip(names, paths)}
     manifest["result"] = {"counts": {**counts, "total": counts["atco"] + counts["pilot"]}}
     return 0
 
@@ -225,65 +230,38 @@ def _cmd_mmi_check(args, manifest: dict) -> int:
     return 0 if all_passed else 1
 
 
-def _run_training(tasks, corpus, config, n_symbols):
-    result = toy_train(tasks, corpus, config, n_symbols=n_symbols)
-    return {
-        "task_ids": sorted(corpus),
-        "initial_objective": result.initial_objective,
-        "final_objective": result.final_objective,
-        "trace": result.objective_trace,
-    }, result.model
-
-
 def _cmd_mmi_train(args, manifest: dict) -> int:
-    corpus = load_training_corpus(args.corpus)
+    corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols or None)
     if not corpus:
         raise CorpusFormatError(f"{args.corpus}: no training utterances")
     lexicon = load_phone_lexicon(args.lexicon)
     n_symbols = args.n_symbols or 1 + max(
         max(utt.symbols) for batch in corpus.values() for utt in batch
     )
-    runs = []
-    saved_arrays: dict[str, object] = {}
+    # one run per model: (its corpus, task weight, shared array name, task id -> bias array name)
     if args.mode == "multitask":
-        tasks = build_tasks(corpus, lexicon, alpha=args.alpha)
-        config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
-        run, model = _run_training(tasks, corpus, config, n_symbols)
-        runs.append(run)
-        saved_arrays["shared"] = model.shared
-        for tid, bias in model.bias.items():
-            saved_arrays[f"bias_{tid}"] = bias
+        plan = [(corpus, args.alpha, "shared", {tid: f"bias_{tid}" for tid in sorted(corpus)})]
     elif args.mode == "pooled":
-        pooled = pool_corpus(corpus)
-        tasks = build_tasks(pooled, lexicon, alpha=1.0)
-        config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
-        run, model = _run_training(tasks, pooled, config, n_symbols)
-        runs.append(run)
-        saved_arrays["shared"] = model.shared
-        saved_arrays["bias_0"] = model.bias[0]
+        plan = [(pool_corpus(corpus), 1.0, "shared", {0: "bias_0"})]
     else:  # single: one independent model per task
-        all_tasks = build_tasks(corpus, lexicon, alpha=1.0)
-        for task in all_tasks:
-            batch = {task.task_id: corpus[task.task_id]}
-            config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
-            run, model = _run_training([task], batch, config, n_symbols)
-            runs.append(run)
-            saved_arrays[f"task{task.task_id}_shared"] = model.shared
-            saved_arrays[f"task{task.task_id}_bias"] = model.bias[task.task_id]
+        plan = [
+            ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})
+            for tid in sorted(corpus)
+        ]
+    config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
+    runs, arrays = [], {}
+    for batches, alpha, shared_name, bias_names in plan:
+        result = toy_train(build_tasks(batches, lexicon, alpha=alpha), batches, config, n_symbols=n_symbols)
+        runs.append({
+            "task_ids": sorted(batches),
+            "initial_objective": result.initial_objective,
+            "final_objective": result.final_objective,
+            "trace": result.objective_trace,
+        })
+        arrays[shared_name] = result.model.shared
+        arrays.update({name: result.model.bias[tid] for tid, name in bias_names.items()})
     if args.out:
-        import numpy as np
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(out.parent), prefix=out.name + ".", suffix=".npz")
-        os.close(fd)
-        try:
-            np.savez(tmp, **saved_arrays)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic([Path(args.out)], lambda stream: np.savez(stream, **arrays), binary=True)
         manifest["outputs"] = {"model": args.out}
     manifest["result"] = {"mode": args.mode, "n_symbols": n_symbols, "runs": runs}
     return 0
@@ -292,11 +270,17 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="atckit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="add human-readable output")
-    common.add_argument("--threads", type=int, default=0, help="worker hint, 0 = auto")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[common], help="expand a callsign into spoken variants")
@@ -344,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("single", "pooled", "multitask"), default="multitask")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.5, help="task weight (multitask mode)")
+    p.add_argument("--alpha", type=_non_negative, default=0.5, help="task weight (multitask mode)")
     p.add_argument("--n-symbols", type=int, default=0, help="symbol inventory size (0 = infer)")
     p.add_argument("--out", help="write trained parameters as .npz")
     p.set_defaults(handler=_cmd_mmi_train)
@@ -370,11 +354,11 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         manifest["error"] = type(exc).__name__
         manifest["message"] = str(exc)
-        print(json.dumps(manifest, sort_keys=True))
+        print(json.dumps(manifest, sort_keys=True, allow_nan=False))
         return 1
     table = manifest.pop("table", None)
     pretty = manifest.pop("pretty", None)
-    print(json.dumps(manifest, sort_keys=True))
+    print(json.dumps(manifest, sort_keys=True, allow_nan=False))
     if table:
         print("\n".join(table))
     if pretty:

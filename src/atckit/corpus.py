@@ -1,4 +1,4 @@
-"""Shared corpus data model: utterance records, tokenization, JSONL I/O.
+"""Shared corpus data model: utterance records, tokenization, line readers.
 
 A corpus file is UTF-8 newline-delimited JSON, one utterance per line:
 
@@ -8,6 +8,9 @@ A corpus file is UTF-8 newline-delimited JSON, one utterance per line:
 ``role`` and ``callsigns`` are optional. ``text`` is normalized on ingest:
 lowercased, split on ASCII whitespace, punctuation stripped from token
 edges. Empty transcripts are representable and never dropped.
+
+Every JSONL input goes through ``iter_jsonl``, every line-oriented lexicon
+file (telephony, phones, role keywords) through ``iter_lexicon_lines``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 
 class CorpusFormatError(ValueError):
-    """Raised when a corpus file line cannot be parsed into an utterance."""
+    """Raised when a line of an input file (corpus record or lexicon entry) is malformed."""
 
 
 class RoleLabel(Enum):
@@ -29,6 +32,13 @@ class RoleLabel(Enum):
 
     ATCO = "atco"
     PILOT = "pilot"
+
+
+def parse_role(value: object) -> RoleLabel:
+    try:
+        return RoleLabel(value)
+    except ValueError:
+        raise CorpusFormatError(f"unknown role {value!r} (want 'atco' or 'pilot')") from None
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -86,19 +96,16 @@ class Utterance:
     def from_json(cls, obj: dict) -> "Utterance":
         if "id" not in obj:
             raise CorpusFormatError("utterance record is missing 'id'")
-        role = obj.get("role")
-        if role is not None:
-            try:
-                role = RoleLabel(role)
-            except ValueError:
-                raise CorpusFormatError(f"unknown role {role!r} (want 'atco' or 'pilot')") from None
+        text = obj.get("text", "")
+        if not isinstance(text, str):
+            raise CorpusFormatError("'text' must be a string")
         callsigns = obj.get("callsigns")
         if callsigns is not None and not isinstance(callsigns, list):
             raise CorpusFormatError("'callsigns' must be an array of strings")
         return cls(
             id=str(obj["id"]),
-            tokens=tokenize(obj.get("text", "")),
-            gold_role=role,
+            tokens=tokenize(text),
+            gold_role=None if obj.get("role") is None else parse_role(obj["role"]),
             context_callsigns=tuple(str(c) for c in callsigns) if callsigns is not None else None,
         )
 
@@ -111,27 +118,43 @@ class Utterance:
         return obj
 
 
-def iter_jsonl(stream: IO[str], source: str = "<stream>") -> Iterator[dict]:
-    """Yield one decoded object per non-blank line, with line numbers on error."""
+def iter_jsonl(
+    stream: IO[str], source: str = "<stream>", convert: Callable[[dict], Any] = lambda obj: obj
+) -> Iterator[Any]:
+    """Yield ``convert(record)`` for each JSON object on a non-blank line.
+
+    Invalid JSON, a non-object line and a CorpusFormatError from ``convert``
+    all end in a CorpusFormatError naming ``source:lineno``.
+    """
     for lineno, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise CorpusFormatError(f"{source}:{lineno}: expected a JSON object")
-        yield obj
+        except (ValueError, RecursionError) as exc:  # syntax, oversized integers, deep nesting
+            raise CorpusFormatError(f"{source}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        try:
+            if not isinstance(obj, dict):
+                raise CorpusFormatError("expected a JSON object")
+            record = convert(obj)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{source}:{lineno}: {exc}") from None
+        yield record
+
+
+def iter_lexicon_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, stripped line)`` for each line left non-blank once its ``#`` comment is cut."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def read_corpus(path: str | Path) -> Iterator[Utterance]:
     """Stream utterances from a JSONL corpus file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as stream:
-        for obj in iter_jsonl(stream, source=str(path)):
-            yield Utterance.from_json(obj)
+    with open(path, "r", encoding="utf-8") as stream:
+        yield from iter_jsonl(stream, str(path), Utterance.from_json)
 
 
 def write_corpus(utterances: Iterable[Utterance], path: str | Path) -> int:

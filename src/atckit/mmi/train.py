@@ -4,7 +4,7 @@ Training file formats:
 
 * lexicon TSV: ``word<TAB>phone phone ...`` per line, ``#`` comments;
 * corpus JSONL: one object per line with ``task`` (int), ``symbols``
-  (array of ints), ``words`` (array of strings).
+  (non-empty array of non-negative ints), ``words`` (array of strings).
 
 The trainer runs full-batch gradient ascent on the weighted multitask
 objective. Three configurations matter: one model per task ("single"),
@@ -15,11 +15,12 @@ parameters with per-task biases and weights ("multitask").
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
 from .graphs import OovWord, build_denominator, phone_bigram_counts
 from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import mmi_gradient, multitask_objective
@@ -28,7 +29,7 @@ DEFAULT_TASK_WEIGHT = 0.5
 
 
 class DivergenceDetected(RuntimeError):
-    """Raised when the objective keeps falling; the step size is too large."""
+    """Raised when the objective keeps falling or stops being finite."""
 
 
 @dataclass
@@ -59,15 +60,14 @@ def toy_train(
     tasks: Sequence[MmiTask],
     corpus: Mapping[int, Sequence[TrainingUtterance]],
     config: TrainConfig,
-    n_symbols: int | None = None,
-    init: EmissionModel | None = None,
+    n_symbols: int,
 ) -> TrainResult:
     """Plain full-batch gradient ascent on the weighted multitask objective.
 
     The trace holds the objective at initialization and after every
     update; with a small enough learning rate on fixed batches it is
-    non-decreasing. Ten consecutive decreases abort with
-    DivergenceDetected.
+    non-decreasing. Ten consecutive decreases, or any objective that is
+    not finite, abort with DivergenceDetected.
     """
     tasks = list(tasks)
     for task in tasks:
@@ -75,24 +75,22 @@ def toy_train(
             raise ValueError(f"task {task.task_id} has no training utterances")
     if config.alpha is not None:
         tasks = [dataclasses.replace(t, alpha=config.alpha) for t in tasks]
-    if init is not None:
-        model = init.copy()
-    else:
-        if n_symbols is None:
-            n_symbols = 1 + max(
-                max(utt.symbols) for batch in corpus.values() for utt in batch
-            )
-        n_phones = len(tasks[0].phones)
-        model = EmissionModel.zeros(n_phones, n_symbols, [t.task_id for t in tasks])
-    trace = [multitask_objective(corpus, tasks, model)]
+    model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
+    trace: list[float] = []
     drops = 0
-    for _ in range(config.steps):
-        grad = mmi_gradient(corpus, tasks, model)
-        model.shared += config.learning_rate * grad.shared
-        for tid in model.bias:
-            model.bias[tid] += config.learning_rate * grad.bias[tid]
+    for step in range(config.steps + 1):
+        if step:
+            grad = mmi_gradient(corpus, tasks, model)
+            model.shared += config.learning_rate * grad.shared
+            for tid in model.bias:
+                model.bias[tid] += config.learning_rate * grad.bias[tid]
         objective = multitask_objective(corpus, tasks, model)
-        drops = drops + 1 if objective < trace[-1] else 0
+        if not math.isfinite(objective):
+            raise DivergenceDetected(
+                f"objective is {objective} after {step} steps: the learning rate is too large, "
+                "or a transcript needs more frames than its utterance has"
+            )
+        drops = drops + 1 if trace and objective < trace[-1] else 0
         trace.append(objective)
         if drops >= config.divergence_patience:
             raise DivergenceDetected(
@@ -105,39 +103,39 @@ def toy_train(
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Word-to-phones map from TSV: ``word<TAB>phone phone ...`` per line."""
     lexicon: dict[str, tuple[str, ...]] = {}
-    path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in iter_lexicon_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>phones', got {line!r}")
+            raise CorpusFormatError(f"{path}:{lineno}: expected 'word<TAB>phones', got {line!r}")
         word, phones = parts[0].strip(), tuple(parts[1].split())
         if not word or not phones:
-            raise ValueError(f"{path}:{lineno}: empty word or phone list")
+            raise CorpusFormatError(f"{path}:{lineno}: empty word or phone list")
         lexicon[word] = phones
+    if not lexicon:
+        raise CorpusFormatError(f"{path}: no entries, so the phone inventory is empty")
     return lexicon
 
 
-def load_training_corpus(path: str | Path) -> dict[int, list[TrainingUtterance]]:
-    """Per-task training utterances from a JSONL corpus file."""
+def load_training_corpus(path: str | Path, n_symbols: int | None = None) -> dict[int, list[TrainingUtterance]]:
+    """Per-task training utterances from a JSONL corpus file; symbol ids must
+    lie in ``[0, n_symbols)``, or just be non-negative without ``n_symbols``."""
+    limit = math.inf if n_symbols is None else n_symbols
+
+    def record(obj: dict) -> TrainingUtterance:
+        task, symbols, words = obj.get("task"), obj.get("symbols"), obj.get("words")
+        if type(task) is not int:  # JSON integers decode to exactly int; bool is not one
+            raise CorpusFormatError("'task' must be an integer")
+        if not isinstance(symbols, list) or not symbols or not all(type(s) is int for s in symbols):
+            raise CorpusFormatError("'symbols' must be a non-empty array of integers")
+        if not all(0 <= s < limit for s in symbols):
+            raise CorpusFormatError(f"symbol ids must lie in [0, {limit}), got {symbols}")
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise CorpusFormatError("'words' must be an array of strings")
+        return TrainingUtterance(task_id=task, symbols=tuple(symbols), words=tuple(words))
+
     corpus: dict[int, list[TrainingUtterance]] = {}
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            try:
-                utt = TrainingUtterance(
-                    task_id=int(obj["task"]),
-                    symbols=tuple(int(s) for s in obj["symbols"]),
-                    words=tuple(str(w) for w in obj["words"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad training record ({exc})") from None
+    with open(path, "r", encoding="utf-8") as stream:
+        for utt in iter_jsonl(stream, str(path), record):
             corpus.setdefault(utt.task_id, []).append(utt)
     return corpus
 

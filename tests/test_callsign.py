@@ -17,6 +17,8 @@ from atckit.callsign import (
     spoken_digit,
 )
 
+from atckit.corpus import CorpusFormatError
+
 from synth import random_callsign_raw
 
 
@@ -156,6 +158,14 @@ class TestTelephonyLexicon:
     def test_parse_rejects_bad_rows(self, line):
         with pytest.raises(ValueError):
             _parse_telephony(line + "\n")
+
+    def test_trailing_hash_starts_a_comment(self):
+        lex = _parse_telephony("ABC\tsome airline  # since 2019\n")
+        assert lex.get("ABC") == ("some", "airline")
+
+    def test_errors_name_source_and_line(self):
+        with pytest.raises(CorpusFormatError, match=r"^tel\.tsv:3: bad airline code"):
+            _parse_telephony("# header\nABC\tsome airline\nAB1\tother\n", source="tel.tsv")
 
 
 def test_spoken_variant_text_joins_tokens():

@@ -12,7 +12,7 @@ from atckit.classifier import (
     classify_corpus,
     split_corpus,
 )
-from atckit.corpus import RoleLabel, Utterance, tokenize
+from atckit.corpus import CorpusFormatError, RoleLabel, Utterance, tokenize
 from atckit.matcher import CallsignMatch
 
 from synth import branch_cases, brute_force_matches, classify_oracle, safe_fillers, variant_pool
@@ -199,6 +199,14 @@ class TestRoleLexicon:
     def test_parse_rejects_bad_files(self, text):
         with pytest.raises(ValueError):
             _parse_role_lexicon(text)
+
+    def test_errors_name_source_and_line(self):
+        with pytest.raises(CorpusFormatError, match=r"^roles\.txt:3: one word per line"):
+            _parse_role_lexicon("[atco]\n\ntwo words  # note\n", source="roles.txt")
+
+    def test_overlap_is_a_format_error(self):
+        with pytest.raises(CorpusFormatError, match="both roles"):
+            _parse_role_lexicon("[atco]\nwind\n[pilot]\nwind\n")
 
     def test_keyword_matching_is_whole_token(self, role_lexicon):
         # "we" is a pilot word; "weather" must not trigger it

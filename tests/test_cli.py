@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,8 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from atckit import cli
 from atckit.cli import main
 from atckit.classifier import classify_corpus
 from atckit.corpus import Utterance, write_corpus
@@ -17,11 +23,19 @@ from synth import branch_cases, make_planted_corpus, safe_fillers
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_manifest(out):
+    """The first stdout line, parsed as strict JSON (no NaN or Infinity)."""
+    return json.loads(out.splitlines()[0], parse_constant=_reject_constant)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    manifest = json.loads(out.splitlines()[0])
-    return code, manifest, out
+    return code, strict_manifest(out), out
 
 
 def write_lines(path, lines):
@@ -87,6 +101,24 @@ class TestFilter:
         assert code == 1
         assert manifest["error"] == "FileNotFoundError"
 
+    def test_directory_corpus_is_a_data_error(self, tmp_path, capsys):
+        code, manifest, _ = run_cli(
+            capsys, ["filter", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert manifest["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("text", ["5", "null", "[\"a\"]"])
+    def test_non_string_text_is_a_data_error(self, tmp_path, capsys, text):
+        src = tmp_path / "corpus.jsonl"
+        write_lines(src, ['{"id": "ok", "text": "fine"}', '{"id": "a", "text": %s}' % text])
+        code, manifest, _ = run_cli(
+            capsys, ["filter", "--corpus", str(src), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert f"{src}:2:" in manifest["message"]
+
 
 class TestClassify:
     def test_empty_corpus_gives_zero_counts(self, tmp_path, capsys):
@@ -133,6 +165,23 @@ class TestClassify:
         )
         assert code == 0
         assert manifest["result"]["counts"]["atco"] == 1
+
+    def test_error_mid_stream_publishes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "corpus.jsonl"
+        write_lines(src, ['{"id": "u1", "text": "wilco"}', '{"id": "u2", "text": "roger"}', "{broken"])
+        prefix = tmp_path / "out"
+        old = {name: tmp_path / f"out.{name}.jsonl" for name in ("atco", "pilot", "traces")}
+        for path in old.values():
+            path.write_text("previous run\n", encoding="utf-8")
+        code, manifest, _ = run_cli(
+            capsys, ["classify", "--corpus", str(src), "--out-prefix", str(prefix)]
+        )
+        assert code == 1
+        assert f"{src}:3:" in manifest["message"]
+        assert all(path.read_text() == "previous run\n" for path in old.values())
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["corpus.jsonl"] + [p.name for p in old.values()]
+        )
 
 
 class TestEvaluate:
@@ -230,6 +279,24 @@ class TestWerCli:
         assert code == 1
         assert manifest["error"] == "EmptyReference"
 
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+        ref.write_bytes(b"turn left \xff\xfe\n")
+        write_lines(hyp, ["turn left"])
+        code, manifest, _ = run_cli(capsys, ["wer", "--ref", str(ref), "--hyp", str(hyp)])
+        assert code == 1
+        assert manifest["error"] == "UnicodeDecodeError"
+
+
+SINGLE_TRACE = [
+    2.1972245773362213,
+    2.871905223654811,
+    3.4170094910351603,
+    3.8600902085172875,
+    4.221902139569769,
+    4.518651349000507,
+]
+
 
 class TestMmiCli:
     def test_check_passes_and_reports_each_check(self, capsys):
@@ -279,6 +346,124 @@ class TestMmiCli:
             assert run["final_objective"] >= run["initial_objective"]
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "mode,keys,traces",
+        [
+            (
+                "single",
+                {"task1_shared", "task1_bias", "task2_shared", "task2_bias"},
+                {
+                    (1,): SINGLE_TRACE,
+                    (2,): SINGLE_TRACE,
+                },
+            ),
+            ("pooled", {"shared", "bias_0"}, {(0,): [4.394449154672441] * 6}),
+            (
+                "multitask",
+                {"shared", "bias_1", "bias_2"},
+                {
+                    (1, 2): [
+                        2.1972245773362213,
+                        2.3727050469694184,
+                        2.5392656451698663,
+                        2.6974329745825987,
+                        2.847693546191445,
+                        2.9904976768032356,
+                    ]
+                },
+            ),
+        ],
+    )
+    def test_train_modes_pin_arrays_and_traces(self, tmp_path, capsys, mode, keys, traces):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        out = tmp_path / "model.npz"
+        code, manifest, _ = run_cli(
+            capsys,
+            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon),
+             "--mode", mode, "--steps", "5", "--learning-rate", "0.05", "--out", str(out)],
+        )
+        assert code == 0
+        runs = {tuple(run["task_ids"]): run["trace"] for run in manifest["result"]["runs"]}
+        assert runs.keys() == traces.keys()
+        for task_ids, trace in traces.items():
+            assert runs[task_ids] == pytest.approx(trace, rel=1e-9)
+        with np.load(out) as arrays:
+            assert set(arrays.files) == keys
+            assert all(arrays[k].shape == (2, 2) for k in keys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.tsv", "model.npz", "train.jsonl"]
+
+    def run_train(self, capsys, corpus, lexicon, *extra):
+        return run_cli(
+            capsys, ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--steps", "3", *extra]
+        )
+
+    def test_negative_symbol_is_a_data_error(self, tmp_path, capsys):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with corpus.open("a", encoding="utf-8") as stream:
+            stream.write('{"task": 1, "symbols": [0, -1, 1], "words": ["ab"]}\n')
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon)
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert f"{corpus}:5:" in manifest["message"]
+
+    def test_symbol_beyond_inventory_is_a_data_error(self, tmp_path, capsys):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--n-symbols", "1")
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert f"{corpus}:1:" in manifest["message"]
+
+    def test_divergent_training_is_a_data_error(self, tmp_path, capsys):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        records = [
+            {"task": 1, "symbols": [0, 1, 2], "words": ["ba"]},
+            {"task": 1, "symbols": [1, 1, 1], "words": ["ba"]},
+            {"task": 2, "symbols": [0, 1, 0, 0], "words": ["ab"]},
+            {"task": 2, "symbols": [2, 2, 0, 1], "words": ["ba"]},
+        ]
+        write_lines(corpus, [json.dumps(r) for r in records])
+        # one huge step overflows the logits and the objective leaves the finite range
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--learning-rate", "1e308")
+        assert code == 1
+        assert manifest["error"] == "DivergenceDetected"
+        assert "result" not in manifest
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"task": "1", "symbols": [0, 1], "words": ["ab"]}',
+            '{"task": true, "symbols": [0, 1], "words": ["ab"]}',
+            '{"task": 1, "symbols": "01", "words": ["ab"]}',
+            '{"task": 1, "symbols": [0, true], "words": ["ab"]}',
+            '{"task": 1, "symbols": [0, 1.0], "words": ["ab"]}',
+            '{"task": 1, "symbols": [0, 1], "words": "ab"}',
+            '{"task": 1, "symbols": [0, 1], "words": [7]}',
+            '{"task": 1, "symbols": [0, 1]}',
+            '{"task": 1, "symbols": [0, 1], "words": ["ab"]',
+        ],
+    )
+    def test_bad_training_record_is_a_data_error(self, tmp_path, capsys, record):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with corpus.open("a", encoding="utf-8") as stream:
+            stream.write("\n" + record + "\n")
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon)
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert f"{corpus}:6:" in manifest["message"]
+
+    def test_empty_lexicon_is_a_data_error(self, tmp_path, capsys):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        lexicon.write_text("# no entries\n", encoding="utf-8")
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon)
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+
+    def test_negative_alpha_is_a_usage_error(self, tmp_path):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--alpha", "-0.5"])
+        assert excinfo.value.code == 2
+
     def test_train_oov_word_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
         corpus.write_text('{"task": 1, "symbols": [0], "words": ["zz"]}\n', encoding="utf-8")
@@ -316,3 +501,85 @@ class TestHarness:
         _, m1, _ = run_cli(capsys, ["expand", "--callsign", "TVS84J"])
         _, m2, _ = run_cli(capsys, ["expand", "--callsign", "TVS84J", "--icao-digits"])
         assert m1["config_hash"] != m2["config_hash"]
+
+    def test_threads_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["filter", "--threads", "2", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")])
+        assert excinfo.value.code == 2
+
+    def test_program_bug_is_not_reported_as_a_data_error(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise ValueError("a bug, not bad data")
+
+        monkeypatch.setattr(cli, "read_corpus", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["filter", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")])
+
+
+# ----------------------------------------------------------- CLI contract
+
+_json_leaf = st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+# records carry every key a subcommand reads; _json_value dicts cover missing keys
+_record = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["u1", "u2", "u3"]) | _json_value,
+        "text": st.sampled_from(["wilco", "skytravel eight four juliett climb", ""]) | _json_value,
+        "role": st.sampled_from(["atco", "pilot"]) | _json_value,
+        "task": st.integers(0, 2) | _json_value,
+        "symbols": st.lists(st.integers(-1, 11), min_size=1, max_size=8) | _json_value,
+        "words": st.lists(st.sampled_from(["ab", "ba", "zz"]), max_size=2) | _json_value,
+    },
+    optional={"callsigns": st.lists(st.sampled_from(["TVS84J", "LUF189AF", "84TVS"]), max_size=2) | _json_value},
+)
+_other_line = st.one_of(
+    _json_value.map(json.dumps),
+    st.sampled_from(["[atco]", "[pilot]", "wilco", "ab\ta b", "ba\tb a # note", "TVS\tsky travel", "# c", ""]),
+    st.text(max_size=12),
+)
+_line = st.one_of(_record.map(json.dumps), _other_line)
+_file = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_line, max_size=5).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+# (arguments, a well-formed second input used when the example draws none)
+_CONTRACT = {
+    "filter": (["--corpus", "{a}", "--telephony", "{b}", "--out", "{d}/kept.jsonl"], "TVS\tskytravel\n"),
+    "classify": (["--corpus", "{a}", "--lexicon", "{b}", "--out-prefix", "{d}/split"],
+                 "[atco]\nclimb\n[pilot]\nwilco\n"),
+    "evaluate": (["--gold", "{a}", "--pred", "{b}"], None),
+    "wer": (["--ref", "{a}", "--hyp", "{b}"], None),
+    # an explicit inventory keeps arbitrary symbol ids from sizing the model
+    "mmi-train": (["--corpus", "{a}", "--lexicon", "{b}", "--steps", "1", "--n-symbols", "10"],
+                  "ab\ta b\nba\tb a\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=_file, b=st.none() | _file)
+def test_any_input_gets_one_strict_manifest_and_a_known_exit_code(contract_dir, command, a, b):
+    template, companion = _CONTRACT[command]
+    if b is None:  # a well-formed companion, or the first input again
+        b = a if companion is None else companion.encode("utf-8")
+    for name, data in (("a", a), ("b", b)):
+        (contract_dir / name).write_bytes(data)
+    argv = [command] + [arg.format(a=contract_dir / "a", b=contract_dir / "b", d=contract_dir) for arg in template]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    manifest = strict_manifest(out.getvalue())
+    assert manifest["subcommand"] == command
+    assert ("error" in manifest) == (code == 1)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -166,10 +167,11 @@ class TestCorpusJsonl:
 
     @pytest.mark.parametrize(
         "line",
-        ['not json', '[1, 2]', '{"text": "missing id"}', '{"id": "a", "role": "tower"}'],
+        ['not json', '[1, 2]', '{"text": "missing id"}', '{"id": "a", "role": "tower"}',
+         '{"id": "a", "text": 5}', '{"id": "a", "text": null}'],
     )
     def test_bad_records_raise_with_location(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"
-        path.write_text(line + "\n")
-        with pytest.raises(CorpusFormatError):
+        path.write_text('{"id": "ok"}\n' + line + "\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: "):
             list(read_corpus(path))

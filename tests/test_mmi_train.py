@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atckit.corpus import CorpusFormatError
 from atckit.mmi import (
     DivergenceDetected,
     EmissionModel,
@@ -92,6 +93,12 @@ class TestToyTrain:
         direct = multitask_objective(corpus, build_tasks(corpus, WORD_PHONES, alpha=1.0), em)
         assert result.objective_trace[0] == direct
 
+    def test_non_finite_objective_is_divergence(self):
+        corpus = {1: [TrainingUtterance(1, (0,), ("ab",))]}  # two phones cannot fit one frame
+        tasks = build_tasks(corpus, WORD_PHONES)
+        with pytest.raises(DivergenceDetected, match="-inf after 0 steps"):
+            toy_train(tasks, corpus, TrainConfig(steps=3), n_symbols=2)
+
     def test_divergence_guard_trips_on_descent(self):
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
@@ -170,6 +177,25 @@ class TestFileFormats:
         path.write_text('{"task": 1, "symbols": [], "words": []}\n', encoding="utf-8")
         with pytest.raises(ValueError):
             load_training_corpus(path)
+
+    def test_corpus_loader_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"task": 1, "symbols": [0], "words": ["ab"]}\n\n{"task": 1,\n', encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=rf"^{path}:3: invalid JSON"):
+            load_training_corpus(path)
+
+    def test_corpus_loader_checks_symbol_range(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"task": 1, "symbols": [0, 2], "words": ["ab"]}\n', encoding="utf-8")
+        assert load_training_corpus(path)[1][0].symbols == (0, 2)
+        with pytest.raises(CorpusFormatError, match=rf"^{path}:1: symbol ids must lie in \[0, 2\)"):
+            load_training_corpus(path, n_symbols=2)
+
+    def test_phone_lexicon_without_entries_rejected(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("# nothing here\n\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="phone inventory is empty"):
+            load_phone_lexicon(path)
 
     def test_build_tasks_rejects_oov_transcripts(self):
         corpus = {1: [TrainingUtterance(1, (0,), ("zz",))]}
