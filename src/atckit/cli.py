@@ -270,11 +270,17 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
-    return value
+def _non_negative(convert):
+    """argparse type: ``convert(text)``, refused with a usage error when below zero."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value" messages
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mmi-check", parents=[common], help="verify objective numerics against oracles")
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--enum-instances", type=int, default=80)
-    p.add_argument("--fd-instances", type=int, default=30)
-    p.add_argument("--zero-instances", type=int, default=10)
+    p.add_argument("--enum-instances", type=_non_negative(int), default=80)
+    p.add_argument("--fd-instances", type=_non_negative(int), default=30)
+    p.add_argument("--zero-instances", type=_non_negative(int), default=10)
     p.set_defaults(handler=_cmd_mmi_check)
 
     p = sub.add_parser("mmi-train", parents=[common], help="toy gradient-ascent training")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True, help="word<TAB>phones TSV")
     p.add_argument("--mode", choices=("single", "pooled", "multitask"), default="multitask")
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_non_negative(int), default=200)
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--alpha", type=_non_negative, default=0.5, help="task weight (multitask mode)")
-    p.add_argument("--n-symbols", type=int, default=0, help="symbol inventory size (0 = infer)")
+    p.add_argument("--alpha", type=_non_negative(float), default=0.5, help="task weight (multitask mode)")
+    p.add_argument("--n-symbols", type=_non_negative(int), default=0, help="symbol inventory size (0 = infer)")
     p.add_argument("--out", help="write trained parameters as .npz")
     p.set_defaults(handler=_cmd_mmi_train)
 

@@ -9,6 +9,7 @@ fails loudly on any disagreement, so a broken recursion cannot hide.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -208,11 +209,15 @@ def check_forward_enumeration(
 def check_gradient_fd(
     rng: random.Random, instances: int, step: float = 1e-5, tolerance: float = 1e-5
 ) -> CheckResult:
-    """Analytic gradient matches central finite differences, single and multitask."""
+    """Analytic gradient matches central finite differences, single and
+    multitask, and the gradient pass's objective equals the forward-only one exactly."""
     worst = 0.0
     for k in range(instances):
         tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-        analytic = mmi_gradient(batches, tasks, em)
+        analytic, objective = mmi_gradient(batches, tasks, em)
+        if objective != multitask_objective(batches, tasks, em):
+            detail = f"gradient pass objective {objective!r} != multitask_objective"
+            return CheckResult("gradient_vs_finite_differences", False, detail)
         numeric = finite_difference_gradient(
             lambda m: multitask_objective(batches, tasks, m), em, step=step
         )
@@ -236,17 +241,10 @@ def check_matched_graphs_zero(rng: random.Random, instances: int, tolerance: flo
         task = tasks[0]
         utt = batches[task.task_id][0]
         num = task.numerator_graph(utt.words)
-        matched = MmiTask(
-            task_id=task.task_id,
-            phones=task.phones,
-            lexicon=task.lexicon,
-            den_graph=num,
-            alpha=1.0,
-            lm_logprob=zero_lm,
-        )
+        matched = dataclasses.replace(task, den_graph=num, alpha=1.0)
         batch = {task.task_id: [utt]}
         objective = mmi_objective([utt], matched, em)
-        grad = mmi_gradient(batch, [matched], em)
+        grad, _ = mmi_gradient(batch, [matched], em)
         if abs(objective) > tolerance or grad.max_abs() > tolerance:
             return CheckResult(
                 "matched_graphs_zero",
@@ -260,14 +258,7 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
     """At T=1 with weight 1 the multitask objective is bit-identical to the task objective."""
     for _ in range(instances):
         tasks, batches, em = random_instance(rng, n_tasks=1)
-        task = MmiTask(
-            task_id=tasks[0].task_id,
-            phones=tasks[0].phones,
-            lexicon=tasks[0].lexicon,
-            den_graph=tasks[0].den_graph,
-            alpha=1.0,
-            lm_logprob=zero_lm,
-        )
+        task = dataclasses.replace(tasks[0], alpha=1.0)
         combined = multitask_objective(batches, [task], em)
         single = mmi_objective(batches[task.task_id], task, em)
         if combined != single:

@@ -66,8 +66,10 @@ def toy_train(
 
     The trace holds the objective at initialization and after every
     update; with a small enough learning rate on fixed batches it is
-    non-decreasing. Ten consecutive decreases, or any objective that is
-    not finite, abort with DivergenceDetected.
+    non-decreasing. Each step takes its trace point and its gradient from
+    one mmi_gradient pass; only the point after the last update comes
+    from the forward-only multitask_objective. Ten consecutive decreases,
+    or any objective that is not finite, abort with DivergenceDetected.
     """
     tasks = list(tasks)
     for task in tasks:
@@ -80,11 +82,13 @@ def toy_train(
     drops = 0
     for step in range(config.steps + 1):
         if step:
-            grad = mmi_gradient(corpus, tasks, model)
             model.shared += config.learning_rate * grad.shared
             for tid in model.bias:
                 model.bias[tid] += config.learning_rate * grad.bias[tid]
-        objective = multitask_objective(corpus, tasks, model)
+        if step < config.steps:
+            grad, objective = mmi_gradient(corpus, tasks, model)
+        else:
+            objective = multitask_objective(corpus, tasks, model)
         if not math.isfinite(objective):
             raise DivergenceDetected(
                 f"objective is {objective} after {step} steps: the learning rate is too large, "

@@ -208,7 +208,7 @@ def test_c6_mmi_numerical_suite():
     grad_ok = True
     for k in range(100):
         tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-        analytic = mmi_gradient(batches, tasks, em)
+        analytic, _ = mmi_gradient(batches, tasks, em)
         numeric = fd_gradient_oracle(
             lambda m: multitask_objective(batches, tasks, m), em, step=1e-5
         )
@@ -227,7 +227,7 @@ def test_c6_mmi_numerical_suite():
             task.numerator_graph(utt.words), alpha=1.0, lm_logprob=zero_lm,
         )
         objective = mmi_objective([utt], matched, em)
-        grad = mmi_gradient({task.task_id: [utt]}, [matched], em)
+        grad, _ = mmi_gradient({task.task_id: [utt]}, [matched], em)
         zero_ok = zero_ok and abs(objective) <= 1e-10 and grad.max_abs() <= 1e-10
 
     # (d) T=1, weight 1: multitask equals the single objective bit-for-bit

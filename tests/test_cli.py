@@ -458,11 +458,27 @@ class TestMmiCli:
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
 
-    def test_negative_alpha_is_a_usage_error(self, tmp_path):
-        corpus, lexicon = self.write_training_files(tmp_path)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mmi-train", "--alpha", "-0.5"],
+            ["mmi-train", "--steps", "-1"],
+            ["mmi-train", "--n-symbols", "-3"],
+            ["mmi-check", "--enum-instances", "-1"],
+            ["mmi-check", "--fd-instances", "-1"],
+            ["mmi-check", "--zero-instances", "-1"],
+        ],
+        ids=lambda argv: argv[1].lstrip("-"),
+    )
+    def test_negative_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "mmi-train":
+            corpus, lexicon = self.write_training_files(tmp_path)
+            argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon)]
         with pytest.raises(SystemExit) as excinfo:
-            main(["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--alpha", "-0.5"])
+            main(argv)
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {argv[1]}: must be a non-negative" in err
 
     def test_train_oov_word_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)

@@ -21,6 +21,7 @@ from atckit.mmi import (
     zero_lm,
 )
 from atckit.mmi.check import random_graph, random_instance
+from atckit.mmi.objective import _backward_betas, _forward
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
 
@@ -103,6 +104,36 @@ class TestOccupancy:
             occ, _ = emission_occupancy(task.den_graph, em.log_probs(task.task_id), utt.symbols)
             assert occ.sum() == pytest.approx(len(utt.symbols), abs=1e-9)
             assert (occ >= -1e-12).all()
+
+    def test_matches_per_frame_add_at_loop(self):
+        # reference: the per-frame np.add.at loop, which adds in the same (frame, arc) order
+        rng = random.Random(64)
+        for _ in range(30):
+            tasks, batches, em = random_instance(rng, n_tasks=1)
+            task = tasks[0]
+            lp = em.log_probs(task.task_id)
+            for utt in batches[task.task_id]:
+                for graph in (task.den_graph, task.numerator_graph(utt.words)):
+                    occ, total = emission_occupancy(graph, lp, utt.symbols)
+                    src, dst, phone, weight = graph.arc_arrays
+                    alphas, _ = _forward(graph, lp, utt.symbols)
+                    betas = _backward_betas(graph, lp, utt.symbols)
+                    expected = np.zeros(lp.shape)
+                    for t, sym in enumerate(utt.symbols, start=1):
+                        log_post = alphas[t - 1, src] + weight + lp[phone, sym] + betas[t, dst] - total
+                        np.add.at(expected[:, sym], phone, np.exp(log_post))
+                    np.testing.assert_array_equal(occ, expected)
+
+    def test_zero_frames(self):
+        arcs = (Arc(src=0, dst=1, phone=0, weight=-0.5), Arc(src=1, dst=0, phone=1, weight=-0.2))
+        lp = uniform_model(2, 3).log_probs(0)
+        start_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=((0, -0.3),))
+        occ, total = emission_occupancy(start_final, lp, ())
+        assert total == -0.3
+        assert occ.shape == lp.shape and not occ.any()
+        start_not_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=((1, -0.3),))
+        with pytest.raises(NoPath):
+            emission_occupancy(start_not_final, lp, ())
 
 
 class TestObjective:
@@ -225,14 +256,14 @@ class TestGradient:
             0, task.phones, task.lexicon, task.numerator_graph(utt.words),
             alpha=1.0, lm_logprob=zero_lm,
         )
-        grad = mmi_gradient({0: [utt]}, [matched], uniform_model(2, 2))
+        grad, _ = mmi_gradient({0: [utt]}, [matched], uniform_model(2, 2))
         assert grad.max_abs() == 0.0
 
     def test_matches_finite_differences(self):
         rng = random.Random(69)
         for k in range(25):
             tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-            analytic = mmi_gradient(batches, tasks, em)
+            analytic, _ = mmi_gradient(batches, tasks, em)
             numeric = fd_gradient_oracle(
                 lambda m: multitask_objective(batches, tasks, m), em, step=1e-5
             )
@@ -241,7 +272,7 @@ class TestGradient:
     def test_single_task_shared_equals_bias_gradient(self):
         rng = random.Random(70)
         tasks, batches, em = random_instance(rng, n_tasks=1)
-        grad = mmi_gradient(batches, tasks, em)
+        grad, _ = mmi_gradient(batches, tasks, em)
         np.testing.assert_array_equal(grad.shared, grad.bias[tasks[0].task_id])
 
     def test_bias_gradient_isolated_to_its_task(self):
@@ -253,11 +284,31 @@ class TestGradient:
         after_t2 = mmi_objective(batches[t2.task_id], t2, em)
         assert after_t2 == before_t2
 
+    def test_gradient_pass_objective_is_the_forward_objective(self, caplog):
+        rng = random.Random(74)
+        for _ in range(20):
+            tasks, batches, em = random_instance(rng, n_tasks=2)
+            grad, objective = mmi_gradient(batches, tasks, em)
+            assert objective == multitask_objective(batches, tasks, em)
+            # an utterance too short for its numerator: -inf objective, no gradient
+            task = tasks[0]
+            too_short = TrainingUtterance(task.task_id, (0,), tuple(sorted(task.lexicon)) * 2)
+            padded = {**batches, task.task_id: [too_short] + batches[task.task_id]}
+            caplog.clear()
+            assert multitask_objective(padded, tasks, em) == -math.inf
+            assert not caplog.records
+            padded_grad, padded_objective = mmi_gradient(padded, tasks, em)
+            assert padded_objective == -math.inf
+            assert len(caplog.records) == 1
+            np.testing.assert_array_equal(padded_grad.shared, grad.shared)
+            for tid in grad.bias:
+                np.testing.assert_array_equal(padded_grad.bias[tid], grad.bias[tid])
+
     def test_gradient_accumulation_is_deterministic(self):
         rng = random.Random(72)
         tasks, batches, em = random_instance(rng, n_tasks=2)
-        g1 = mmi_gradient(batches, tasks, em)
-        g2 = mmi_gradient(batches, tasks, em)
+        g1, _ = mmi_gradient(batches, tasks, em)
+        g2, _ = mmi_gradient(batches, tasks, em)
         np.testing.assert_array_equal(g1.shared, g2.shared)
         for tid in g1.bias:
             np.testing.assert_array_equal(g1.bias[tid], g2.bias[tid])

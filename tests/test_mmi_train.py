@@ -77,13 +77,33 @@ class TestToyTrain:
         em = EmissionModel.zeros(2, 2, [1])
         trace = [mmi_objective(corpus[1], task, em)]
         for _ in range(config.steps):
-            grad = mmi_gradient(corpus, [task], em)
+            grad, _ = mmi_gradient(corpus, [task], em)
             em.shared += config.learning_rate * grad.shared
             em.bias[1] += config.learning_rate * grad.bias[1]
             trace.append(mmi_objective(corpus[1], task, em))
         assert result.objective_trace == trace
         np.testing.assert_array_equal(result.model.shared, em.shared)
         np.testing.assert_array_equal(result.model.bias[1], em.bias[1])
+
+    def test_one_pass_per_step_and_one_closing_evaluation(self, monkeypatch):
+        import atckit.mmi.train as train
+
+        calls = {"mmi_gradient": 0, "multitask_objective": 0}
+
+        def counting(name):
+            fn = getattr(train, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(train, name, counting(name))
+        corpus = two_task_corpus()
+        toy_train(build_tasks(corpus, WORD_PHONES), corpus, TrainConfig(steps=5), n_symbols=2)
+        assert calls == {"mmi_gradient": 5, "multitask_objective": 1}
 
     def test_alpha_override_rescales_objective(self):
         corpus = two_task_corpus()
