@@ -47,6 +47,6 @@ from .evaluation import (
     wer,
     wer_corpus,
 )
-from .matcher import CallsignMatch, FilterStats, filter_corpus, find_matches
+from .matcher import CallsignMatch, ContextMatcher, FilterStats, filter_corpus, find_matches
 
 __version__ = "0.1.0"

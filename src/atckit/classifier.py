@@ -15,11 +15,13 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .callsign import TelephonyLexicon
 from .corpus import CorpusFormatError, RoleLabel, Utterance, iter_lexicon_lines
-from .matcher import CallsignMatch, VariantEntry, expand_context_callsigns, find_matches
+# expand_context_callsigns is not called here; it stays importable under this
+# module's name, which perfbench's tracer wraps
+from .matcher import CallsignMatch, ContextMatcher, VariantEntry, expand_context_callsigns, find_matches
 
 # A callsign opening the utterance marks the controller; greetings often
 # precede it, so "opening" means starting within the first four tokens.
@@ -102,9 +104,9 @@ def _keyword_decision(
 
 
 def _callsign_decision(
-    utt: Utterance, variants: Iterable[VariantEntry]
+    utt: Utterance, match: Callable[[Utterance], list[CallsignMatch]]
 ) -> tuple[RoleLabel, ClassificationTrace] | None:
-    matches = find_matches(utt, variants)
+    matches = match(utt)
     if matches and matches[0].start_index < EARLY_WINDOW_TOKENS:
         return RoleLabel.ATCO, ClassificationTrace(FiredRule.CALLSIGN_EARLY, matches[0])
     return None
@@ -113,7 +115,7 @@ def _callsign_decision(
 def classify(
     utt: Utterance,
     lexicon: RoleLexicon,
-    variants: Iterable[VariantEntry],
+    variants: Iterable[VariantEntry] | Callable[[Utterance], list[CallsignMatch]],
     rule_order: str = "keywords-first",
 ) -> tuple[RoleLabel, ClassificationTrace]:
     """Assign a role to one utterance.
@@ -130,14 +132,22 @@ def classify(
     ``rule_order="callsign-first"`` tries step 4 before steps 1-3. Total
     and deterministic: every utterance, including an empty one, gets
     exactly one (label, trace) pair.
+
+    ``variants`` is either the context's (callsign, variant) entries or a
+    matcher such as ``ContextMatcher``: a callable from the utterance to
+    its sorted matches, run only when step 4 is reached.
     """
     if rule_order not in RULE_ORDERS:
         raise ValueError(f"rule_order must be one of {RULE_ORDERS}, got {rule_order!r}")
-    variants = list(variants)
-    if rule_order == "callsign-first":
-        decision = _callsign_decision(utt, variants) or _keyword_decision(utt.tokens, lexicon)
+    if callable(variants):
+        match = variants
     else:
-        decision = _keyword_decision(utt.tokens, lexicon) or _callsign_decision(utt, variants)
+        entries = list(variants)
+        match = lambda u: find_matches(u, entries)  # noqa: E731
+    if rule_order == "callsign-first":
+        decision = _callsign_decision(utt, match) or _keyword_decision(utt.tokens, lexicon)
+    else:
+        decision = _keyword_decision(utt.tokens, lexicon) or _callsign_decision(utt, match)
     if decision is not None:
         return decision
     return RoleLabel.PILOT, ClassificationTrace(
@@ -152,17 +162,14 @@ def classify_corpus(
     rule_order: str = "keywords-first",
     icao_digits: bool = False,
 ) -> Iterator[tuple[Utterance, RoleLabel, ClassificationTrace]]:
-    """Classify a stream of utterances, expanding each one's own context callsigns.
+    """Classify a stream of utterances against each one's own context callsigns.
 
-    Malformed context entries are skipped, never fatal. Output order is
-    input order.
+    Matching runs only when the callsign rule is reached. Malformed context
+    entries are skipped, never fatal. Output order is input order.
     """
-    cache: dict = {}
+    match = ContextMatcher(telephony, icao_digits)
     for utt in corpus:
-        variants = expand_context_callsigns(
-            utt.context_callsigns or (), telephony, cache=cache, icao_digits=icao_digits
-        )
-        label, trace = classify(utt, lexicon, variants, rule_order)
+        label, trace = classify(utt, lexicon, match, rule_order)
         yield utt, label, trace
 
 

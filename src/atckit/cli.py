@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from .callsign import (
     load_telephony_lexicon,
     parse_callsign,
 )
-from .classifier import classify_corpus, default_role_lexicon, load_role_lexicon, RULE_ORDERS
+from .classifier import FiredRule, classify_corpus, default_role_lexicon, load_role_lexicon, RULE_ORDERS
 from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, parse_role, read_corpus, tokenize
 from .evaluation import EmptyReference, accumulate, rates, wer_corpus
 from .matcher import filter_corpus
@@ -167,6 +168,8 @@ def _cmd_classify(args, manifest: dict) -> int:
     names = ("atco", "pilot", "traces")
     paths = [Path(f"{args.out_prefix}.{name}.jsonl") for name in names]
     counts = {"atco": 0, "pilot": 0}
+    rules = {rule.value: 0 for rule in FiredRule}
+    low_confidence = 0
     stream = classify_corpus(
         read_corpus(args.corpus),
         _role_lexicon(args),
@@ -176,15 +179,22 @@ def _cmd_classify(args, manifest: dict) -> int:
     )
 
     def write(atco: IO[str], pilot: IO[str], traces: IO[str]) -> None:
+        nonlocal low_confidence
         halves = {"atco": atco, "pilot": pilot}
         for utt, label, trace in stream:
             counts[label.value] += 1
+            rules[trace.fired_rule.value] += 1
+            low_confidence += trace.low_confidence
             halves[label.value].write(json.dumps(utt.to_json()) + "\n")
             traces.write(json.dumps({"id": utt.id, "role": label.value, **trace.to_json()}) + "\n")
 
     _write_atomic(paths, write)
     manifest["outputs"] = {name: str(path) for name, path in zip(names, paths)}
-    manifest["result"] = {"counts": {**counts, "total": counts["atco"] + counts["pilot"]}}
+    manifest["result"] = {
+        "counts": {**counts, "total": counts["atco"] + counts["pilot"]},
+        "rules": rules,
+        "low_confidence": low_confidence,
+    }
     return 0
 
 
@@ -270,13 +280,16 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _non_negative(convert):
-    """argparse type: ``convert(text)``, refused with a usage error when below zero."""
+def _number(convert, non_negative: bool = True):
+    """argparse type: ``convert(text)``, refused with a usage error when not
+    finite (nan, inf, -inf) or, with ``non_negative``, below zero."""
+    wanted = "a non-negative finite number" if non_negative else "a finite number"
 
     def parse(text: str):
         value = convert(text)
-        if not value >= 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+        # comparisons never overflow on large ints, and nan fails both
+        if not (-math.inf < value < math.inf) or (non_negative and value < 0):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value" messages
@@ -323,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mmi-check", parents=[common], help="verify objective numerics against oracles")
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--enum-instances", type=_non_negative(int), default=80)
-    p.add_argument("--fd-instances", type=_non_negative(int), default=30)
-    p.add_argument("--zero-instances", type=_non_negative(int), default=10)
+    p.add_argument("--enum-instances", type=_number(int), default=80)
+    p.add_argument("--fd-instances", type=_number(int), default=30)
+    p.add_argument("--zero-instances", type=_number(int), default=10)
     p.set_defaults(handler=_cmd_mmi_check)
 
     p = sub.add_parser("mmi-train", parents=[common], help="toy gradient-ascent training")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True, help="word<TAB>phones TSV")
     p.add_argument("--mode", choices=("single", "pooled", "multitask"), default="multitask")
-    p.add_argument("--steps", type=_non_negative(int), default=200)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--alpha", type=_non_negative(float), default=0.5, help="task weight (multitask mode)")
-    p.add_argument("--n-symbols", type=_non_negative(int), default=0, help="symbol inventory size (0 = infer)")
+    p.add_argument("--steps", type=_number(int), default=200)
+    p.add_argument("--learning-rate", type=_number(float, non_negative=False), default=0.1)
+    p.add_argument("--alpha", type=_number(float), default=0.5, help="task weight (multitask mode)")
+    p.add_argument("--n-symbols", type=_number(int), default=0, help="symbol inventory size (0 = infer)")
     p.add_argument("--out", help="write trained parameters as .npz")
     p.set_defaults(handler=_cmd_mmi_train)
 

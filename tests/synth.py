@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from atckit.callsign import expand_callsign, parse_callsign, spoken_alphabet
+from atckit.callsign import MalformedCallsign, expand_callsign, parse_callsign, spoken_alphabet
 from atckit.corpus import RoleLabel, Utterance
 
 # Filler words must not collide with any spoken-variant token or any role
@@ -77,6 +77,45 @@ def canon_matches(matches):
         (m.start_index, m.end_index, m.callsign.raw, m.variant.kind.value, m.variant.tokens)
         for m in matches
     )
+
+
+_MALFORMED = ("84TVS", "", "TVS84j", "TV84", "TVS12345", "TVS84JJJ", " TVS84J")
+
+
+def full_expansion(context, telephony, icao_digits):
+    """(callsign, variant) entries of every well-formed context entry, repeats kept."""
+    entries = []
+    for raw in context:
+        try:
+            cs = parse_callsign(raw)
+        except MalformedCallsign:
+            continue
+        entries.extend((cs, v) for v in sorted(expand_callsign(cs, telephony, icao_digits), key=lambda v: v.text))
+    return entries
+
+
+def near_miss_utterances(rng, telephony, n):
+    """C2-style utterances whose words come from their own context's variants.
+
+    Both digit styles feed the vocabulary, so partial tails, tails of one
+    style in the other and designators without their tail are common.
+    Contexts repeat entries and hold malformed ones; about one utterance in
+    four gets one whole variant planted, often at position 0.
+    """
+    fillers = ("gate", "apron", "morning", "hello")
+    for i in range(n):
+        context = [random_callsign_raw(rng, telephony) for _ in range(rng.randint(1, 6))]
+        variants = [v for icao in (False, True) for _, v in full_expansion(context, telephony, icao)]
+        if rng.random() < 0.3:
+            context += rng.choices(context, k=rng.randint(1, 2))
+        if rng.random() < 0.2:
+            context.insert(rng.randint(0, len(context)), rng.choice(_MALFORMED))
+        vocab = list(fillers) + [t for v in variants for t in v.tokens]
+        tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.25:
+            at = 0 if rng.random() < 0.3 else rng.randint(0, len(tokens))
+            tokens[at:at] = rng.choice(variants).tokens
+        yield Utterance(f"u{i}", tuple(tokens), context_callsigns=tuple(context))
 
 
 def make_planted_corpus(rng: random.Random, n: int, n_planted: int, telephony, fillers):

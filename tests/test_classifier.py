@@ -4,6 +4,7 @@ import pytest
 
 from atckit.callsign import expand_callsign, parse_callsign
 from atckit.classifier import (
+    RULE_ORDERS,
     ClassificationTrace,
     FiredRule,
     RoleLexicon,
@@ -13,9 +14,16 @@ from atckit.classifier import (
     split_corpus,
 )
 from atckit.corpus import CorpusFormatError, RoleLabel, Utterance, tokenize
-from atckit.matcher import CallsignMatch
+from atckit.matcher import CallsignMatch, ContextMatcher, expand_context_callsigns
 
-from synth import branch_cases, brute_force_matches, classify_oracle, safe_fillers, variant_pool
+from synth import (
+    branch_cases,
+    brute_force_matches,
+    classify_oracle,
+    near_miss_utterances,
+    safe_fillers,
+    variant_pool,
+)
 
 
 def tvs_variants(telephony):
@@ -127,6 +135,34 @@ class TestDecisionProcedure:
             )
             label, trace = classify(utt, role_lexicon, variants)
             assert (label, trace.fired_rule.value) == (want_label, want_rule)
+
+
+class TestContextMatching:
+    def test_callsign_rule_matches_only_when_reached(self, role_lexicon, telephony):
+        calls = []
+
+        def match(utt):
+            calls.append(utt.id)
+            return ContextMatcher(telephony)(utt)
+
+        keyword = Utterance("kw", tokenize("wilco skytravel eight four juliett"), context_callsigns=("TVS84J",))
+        plain = Utterance("cs", tokenize("skytravel eight four juliett"), context_callsigns=("TVS84J",))
+        assert classify(keyword, role_lexicon, match)[0] is RoleLabel.PILOT
+        assert classify(plain, role_lexicon, match)[0] is RoleLabel.ATCO
+        assert calls == ["cs"]
+        assert classify(keyword, role_lexicon, match, rule_order="callsign-first")[0] is RoleLabel.ATCO
+        assert calls == ["cs", "kw"]
+
+    @pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
+    @pytest.mark.parametrize("rule_order", RULE_ORDERS)
+    def test_corpus_run_equals_expanded_variants(self, role_lexicon, telephony, rule_order, icao_digits):
+        rng = random.Random(44)
+        corpus = [c["utterance"] for c in branch_cases(rng, 40, role_lexicon, telephony)]
+        corpus += list(near_miss_utterances(rng, telephony, 400))
+        got = list(classify_corpus(corpus, role_lexicon, telephony, rule_order, icao_digits))
+        for utt, label, trace in got:
+            variants = expand_context_callsigns(utt.context_callsigns or (), telephony, icao_digits=icao_digits)
+            assert (label, trace) == classify(utt, role_lexicon, variants, rule_order)
 
 
 class TestBranchSuite:

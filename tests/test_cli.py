@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 
 from atckit import cli
 from atckit.cli import main
-from atckit.classifier import classify_corpus
+from atckit.callsign import VariantKind, expand_callsign, parse_callsign
+from atckit.classifier import RULE_ORDERS, FiredRule, classify_corpus
 from atckit.corpus import Utterance, write_corpus
 from atckit.evaluation import accumulate
 
-from synth import branch_cases, make_planted_corpus, safe_fillers
+from synth import branch_cases, make_planted_corpus, random_callsign_raw, safe_fillers
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -182,6 +185,124 @@ class TestClassify:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["corpus.jsonl"] + [p.name for p in old.values()]
         )
+
+
+def pin_corpus(telephony, role_lexicon):
+    """Seeded corpus for the output pins: planted and branch utterances plus
+    near misses built from fresh callsigns' variants in both digit styles,
+    with repeated, malformed and missing context entries."""
+    rng = random.Random(4404)
+    fillers = safe_fillers(role_lexicon, telephony)
+    corpus, _ = make_planted_corpus(rng, 150, 60, telephony, fillers)
+    corpus += [case["utterance"] for case in branch_cases(rng, 12, role_lexicon, telephony)]
+    keywords = sorted(role_lexicon.atco_words)[:3] + sorted(role_lexicon.pilot_words)[:3]
+    for i in range(150):
+        context = [random_callsign_raw(rng, telephony) for _ in range(rng.randint(1, 4))]
+        variants = [
+            v.tokens
+            for raw in context
+            for icao in (False, True)
+            for v in sorted(expand_callsign(parse_callsign(raw), telephony, icao), key=lambda v: v.text)
+        ]
+        vocab = [t for tokens in variants for t in tokens] + list(fillers[:4]) + keywords
+        tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+        if rng.random() < 0.5:
+            at = rng.randint(0, len(tokens))
+            tokens[at:at] = rng.choice(variants)
+        if rng.random() < 0.2:
+            context.append(rng.choice(context))
+        if rng.random() < 0.1:
+            context.append("84TVS")
+        if rng.random() >= 0.95:
+            context = None
+        corpus.append(Utterance(f"n{i:05d}", tuple(tokens), context_callsigns=context))
+    return corpus
+
+
+# sha256 of every output file, recorded on the expansion-based matcher that
+# preceded the tail-anchored one; the matching refactor must keep them
+OUTPUT_PINS = {
+    ("filter", False): "ddb9e39c446eb24398df1ebdb1ef7c1fde9bc54104af85e933019ddd7e466ad3",
+    ("filter", True): "1cc116bc92091611121c4466cb7a5896cbac6bdf169e2a8432c488bf2abc3cd3",
+    ("keywords-first", False): [
+        "114ecf6aea08624a21afd2eff028cbe56ed6c5e13b741e4a9f61c81bf12e3906",
+        "33c62924e02b8c2927c81d1cf9e35513c1dbaa6214f8255c8f3924a9a7ba4091",
+        "46850613f3bcf77ab4eace6b493df23e360d78daef8007b3c65c63a538629319",
+    ],
+    ("keywords-first", True): [
+        "b90d7f04e740bfc46597b16e0848605f9892e6942f77e1254e904d7704e0756c",
+        "1a407a536f1867ebb7b6f508f97e97ce106fe8bf8446b962e970b97c4ada017d",
+        "919ae04b2ff97a026c91a8681fcd80625b0f0f7e09a5db3718f1d3a7d079ad5e",
+    ],
+    ("callsign-first", False): [
+        "04a12815c2a35db476a4a7430ed86f68f94ccf4bca93765e8f1c58ed6c91a3ae",
+        "5cad229cd7700aadfd31a610b1fd585583daf87ab4a9d5ec812626a08912226f",
+        "af272e676606b3dd5559b727cdd5c84df2ff4b905b04d503e34201860a46a678",
+    ],
+    ("callsign-first", True): [
+        "5b56b9c5dd0545d1d4d5b95515460bdf6f1fa339dbe9a0a07006224e85208477",
+        "93487b2efe822fcd4966ec1d08ec7f7766be3d902fc318376c8997803a6bb2ab",
+        "1c23944972148d266c7378b61ea4360d0e11451de6b52ff59a9ab2251ba9eafe",
+    ],
+}
+
+
+class TestOutputPins:
+    """filter and classify on the seeded pin corpus: pinned files, explained manifests."""
+
+    @pytest.fixture(scope="class")
+    def corpus_file(self, tmp_path_factory, telephony, role_lexicon):
+        path = tmp_path_factory.mktemp("pins") / "corpus.jsonl"
+        write_corpus(pin_corpus(telephony, role_lexicon), path)
+        return path
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_filter_manifest_explains_drops(self, tmp_path, capsys, corpus_file):
+        out = tmp_path / "kept.jsonl"
+        argv = ["filter", "--corpus", str(corpus_file), "--out", str(out)]
+        code, manifest, printed = run_cli(capsys, argv)
+        assert code == 0
+        stats = manifest["result"]["stats"]
+        assert stats["dropped"] == stats["no_context"] + stats["no_match"]
+        assert min(stats["no_context"], stats["no_match"]) > 0
+        kept = [json.loads(line) for line in out.read_text().splitlines()]
+        kinds = Counter(m["variant_kind"] for record in kept for m in record["matches"])
+        assert stats["matches_by_kind"] == {kind.value: kinds[kind.value] for kind in VariantKind}
+        assert run_cli(capsys, argv)[2] == printed
+
+    def test_classify_manifest_explains_labels(self, tmp_path, capsys, corpus_file):
+        prefix = str(tmp_path / "split")
+        argv = ["classify", "--corpus", str(corpus_file), "--out-prefix", prefix]
+        code, manifest, printed = run_cli(capsys, argv)
+        assert code == 0
+        traces = [json.loads(line) for line in Path(prefix + ".traces.jsonl").read_text().splitlines()]
+        result = manifest["result"]
+        fired = Counter(t["rule"] for t in traces)
+        assert result["rules"] == {rule.value: fired[rule.value] for rule in FiredRule}
+        assert min(result["rules"].values()) > 0
+        assert result["low_confidence"] == sum(t["low_confidence"] for t in traces) > 0
+        assert run_cli(capsys, argv)[2] == printed
+
+    @pytest.mark.parametrize("icao", [False, True], ids=["plain", "icao"])
+    def test_filter_kept_file(self, tmp_path, capsys, corpus_file, icao):
+        out = tmp_path / "kept.jsonl"
+        argv = ["filter", "--corpus", str(corpus_file), "--out", str(out)] + ["--icao-digits"] * icao
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert self.digest(out) == OUTPUT_PINS[("filter", icao)]
+
+    @pytest.mark.parametrize("icao", [False, True], ids=["plain", "icao"])
+    @pytest.mark.parametrize("order", RULE_ORDERS)
+    def test_classify_files(self, tmp_path, capsys, corpus_file, order, icao):
+        prefix = str(tmp_path / "split")
+        argv = ["classify", "--corpus", str(corpus_file), "--out-prefix", prefix, "--rule-order", order]
+        code, _, _ = run_cli(capsys, argv + ["--icao-digits"] * icao)
+        assert code == 0
+        digests = [self.digest(f"{prefix}.{name}.jsonl") for name in ("atco", "pilot", "traces")]
+        assert digests == OUTPUT_PINS[(order, icao)]
 
 
 class TestEvaluate:
@@ -467,10 +588,17 @@ class TestMmiCli:
             ["mmi-check", "--enum-instances", "-1"],
             ["mmi-check", "--fd-instances", "-1"],
             ["mmi-check", "--zero-instances", "-1"],
+            # "=" keeps argparse from reading "-inf" as an option
+            ["mmi-train", "--learning-rate=nan"],
+            ["mmi-train", "--learning-rate=inf"],
+            ["mmi-train", "--learning-rate=-inf"],
+            ["mmi-train", "--alpha=inf"],
         ],
         ids=lambda argv: argv[1].lstrip("-"),
     )
     def test_negative_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        option = argv[1].split("=")[0]
+        wanted = "a finite number" if option == "--learning-rate" else "a non-negative"
         if argv[0] == "mmi-train":
             corpus, lexicon = self.write_training_files(tmp_path)
             argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon)]
@@ -478,7 +606,7 @@ class TestMmiCli:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage:") and f"argument {argv[1]}: must be a non-negative" in err
+        assert err.startswith("usage:") and f"argument {option}: must be {wanted}" in err
 
     def test_train_oov_word_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)

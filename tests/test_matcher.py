@@ -4,7 +4,12 @@ import re
 
 import pytest
 
-from atckit.callsign import expand_callsign, parse_callsign
+from atckit.callsign import (
+    TelephonyLexicon,
+    VariantKind,
+    expand_callsign,
+    parse_callsign,
+)
 from atckit.corpus import (
     CorpusFormatError,
     RoleLabel,
@@ -13,9 +18,25 @@ from atckit.corpus import (
     tokenize,
     write_corpus,
 )
-from atckit.matcher import filter_corpus, find_matches
+from atckit.matcher import (
+    MEMO_SIZE,
+    ContextMatcher,
+    FilterStats,
+    expand_context_callsigns,
+    filter_corpus,
+    find_matches,
+)
 
-from synth import brute_force_matches, canon_matches, make_planted_corpus, safe_fillers, variant_pool
+from synth import (
+    brute_force_matches,
+    canon_matches,
+    full_expansion,
+    make_planted_corpus,
+    near_miss_utterances,
+    random_callsign_raw,
+    safe_fillers,
+    variant_pool,
+)
 
 
 def tvs_variants(telephony):
@@ -83,6 +104,93 @@ class TestFindMatches:
             matches = find_matches(utt, variants)
             keys = [(m.start_index, m.start_index - m.end_index) for m in matches]
             assert keys == sorted(keys)
+
+
+class TestContextMatcher:
+    """The tail-anchored path against the full expansion it replaces."""
+
+    @staticmethod
+    def check(utt, telephony, icao_digits, match=None):
+        match = match or ContextMatcher(telephony, icao_digits)
+        got_stats, want_stats = FilterStats(), FilterStats()
+        got = match(utt, got_stats)
+        reference = expand_context_callsigns(utt.context_callsigns, telephony, want_stats, icao_digits)
+        assert got == find_matches(utt, reference)  # same objects, order and repeats
+        assert canon_matches(got) == brute_force_matches(
+            utt.tokens, full_expansion(utt.context_callsigns, telephony, icao_digits)
+        )
+        assert got_stats.malformed_callsigns == want_stats.malformed_callsigns
+        return got
+
+    @pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
+    def test_equals_brute_force_over_full_expansion(self, telephony, icao_digits):
+        rng = random.Random(36)
+        match = ContextMatcher(telephony, icao_digits)
+        found = 0
+        for utt in near_miss_utterances(rng, telephony, 2000):
+            found += len(self.check(utt, telephony, icao_digits, match))
+        assert found > 400  # the generator plants enough hits to mean something
+
+    @pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
+    def test_designator_equal_to_spelled_code(self, icao_digits):
+        lexicon = TelephonyLexicon({"TVS": ("tango", "victor", "sierra"), "DLH": ("lufthansa",)})
+        utt = Utterance("u", tokenize("tango victor sierra eight four juliett"), context_callsigns=("TVS84J",))
+        kinds = [(m.start_index, m.variant.kind) for m in self.check(utt, lexicon, False)]
+        assert kinds == [
+            (0, VariantKind.FULL_TELEPHONY),
+            (0, VariantKind.LETTER_SPELLED),
+            (3, VariantKind.SHORTENED),
+        ]
+        rng = random.Random(37)
+        for utt in near_miss_utterances(rng, lexicon, 500):
+            self.check(utt, lexicon, icao_digits)
+
+    def test_overlapping_occurrences(self, telephony):
+        utt = Utterance("u", tokenize("one one one one one"), context_callsigns=("QQQ111", "QQQ11"))
+        spans = [(m.callsign.raw, m.start_index, m.end_index) for m in self.check(utt, telephony, False)]
+        assert sorted(spans) == sorted(
+            [("QQQ111", s, s + 3) for s in range(3)] + [("QQQ11", s, s + 2) for s in range(4)]
+        )
+
+    def test_tail_at_both_ends_and_unknown_code(self, telephony):
+        utt = Utterance(
+            "u", tokenize("four two tango victor sierra four two"), context_callsigns=("TVS42", "QQQ42")
+        )
+        got = self.check(utt, telephony, False)
+        assert [(m.callsign.raw, m.start_index, m.variant.kind.value) for m in got] == [
+            ("QQQ42", 0, "shortened"),
+            ("TVS42", 0, "shortened"),
+            ("TVS42", 2, "letter_spelled"),
+            ("QQQ42", 5, "shortened"),
+            ("TVS42", 5, "shortened"),
+        ]
+
+    def test_repeated_and_malformed_entries(self, telephony):
+        context = ("TVS84J", "84TVS", "TVS84J", "", "TVS84J")
+        utt = Utterance("u", tokenize("skytravel eight four juliett"), context_callsigns=context)
+        stats = FilterStats()
+        got = ContextMatcher(telephony)(utt, stats)
+        assert [(m.variant.kind.value, m.start_index) for m in got] == [("full_telephony", 0)] * 3 + [
+            ("shortened", 1)
+        ] * 3
+        assert stats.malformed_callsigns == 2
+        self.check(utt, telephony, False)
+
+    def test_memos_stay_bounded(self, telephony):
+        rng = random.Random(38)
+        match = ContextMatcher(telephony)
+        memos = (match.parse, match.shortened, match.hit)
+        seen = set()
+        while len(seen) < 20000:
+            raw = random_callsign_raw(rng)
+            if raw in seen:
+                continue
+            seen.add(raw)
+            variants = expand_callsign(parse_callsign(raw), telephony)
+            shortened = next(v for v in variants if v.kind is VariantKind.SHORTENED)
+            assert match(Utterance("u", shortened.tokens, context_callsigns=(raw,)))
+        assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in memos)
+        assert all(memo.cache_info().currsize == MEMO_SIZE for memo in memos)
 
 
 class TestFilterCorpus:
