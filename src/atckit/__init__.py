@@ -22,12 +22,10 @@ from .classifier import (
     ClassificationTrace,
     FiredRule,
     RoleLexicon,
-    SplitResult,
     classify,
     classify_corpus,
     default_role_lexicon,
     load_role_lexicon,
-    split_corpus,
 )
 from .corpus import (
     CorpusFormatError,

@@ -169,28 +169,40 @@ def nato_letter(c: str) -> str:
     return word
 
 
+def spoken_tail(number: str, suffix: str, icao_digits: bool = False) -> tuple[str, ...]:
+    """The shortened form's words: the spoken digits, then the suffix letters.
+
+    Every other spoken variant ends with these words.
+    """
+    return tuple(spoken_digit(d, icao_digits) for d in number) + tuple(nato_letter(c) for c in suffix)
+
+
+def spoken_heads(code: str, lexicon: TelephonyLexicon) -> tuple[tuple[VariantKind, tuple[str, ...]], ...]:
+    """The words that may stand before the tail, each with the variant kind
+    it makes: the telephony designator when the lexicon knows the code,
+    then the spelled code."""
+    spelled = (VariantKind.LETTER_SPELLED, tuple(nato_letter(c) for c in code))
+    designator = lexicon.get(code)
+    return ((VariantKind.FULL_TELEPHONY, tuple(designator)), spelled) if designator else (spelled,)
+
+
 def expand_callsign(
     cs: Callsign,
     lexicon: TelephonyLexicon,
     icao_digits: bool = False,
-) -> set[SpokenVariant]:
-    """Expand one callsign into its ensemble of spoken variants.
+) -> tuple[SpokenVariant, ...]:
+    """Expand one callsign into its ensemble of spoken variants, in
+    ``VariantKind`` order.
 
     Always yields the letter-spelled and shortened forms; the full
     telephony form is included only when the lexicon knows the airline
     code. Unknown codes are not an error.
     """
-    tail = tuple(spoken_digit(d, icao_digits) for d in cs.number_part)
-    tail += tuple(nato_letter(c) for c in cs.suffix)
-    spelled = tuple(nato_letter(c) for c in cs.airline_code)
-    variants = {
-        SpokenVariant(spelled + tail, VariantKind.LETTER_SPELLED),
+    tail = spoken_tail(cs.number_part, cs.suffix, icao_digits)
+    heads = spoken_heads(cs.airline_code, lexicon)
+    return tuple(SpokenVariant(head + tail, kind) for kind, head in heads) + (
         SpokenVariant(tail, VariantKind.SHORTENED),
-    }
-    designator = lexicon.get(cs.airline_code)
-    if designator:
-        variants.add(SpokenVariant(tuple(designator) + tail, VariantKind.FULL_TELEPHONY))
-    return variants
+    )
 
 
 def spoken_alphabet(lexicon: TelephonyLexicon) -> frozenset[str]:

@@ -10,7 +10,7 @@ and a trace saying which rule fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -19,9 +19,9 @@ from typing import Callable, Iterable, Iterator
 
 from .callsign import TelephonyLexicon
 from .corpus import CorpusFormatError, RoleLabel, Utterance, iter_lexicon_lines
-# expand_context_callsigns is not called here; it stays importable under this
-# module's name, which perfbench's tracer wraps
-from .matcher import CallsignMatch, ContextMatcher, VariantEntry, expand_context_callsigns, find_matches
+# expand_context_callsigns and find_matches are not called here; they stay
+# importable under this module's name, which perfbench's tracer wraps
+from .matcher import CallsignMatch, ContextMatcher, expand_context_callsigns, find_matches  # noqa: F401
 
 # A callsign opening the utterance marks the controller; greetings often
 # precede it, so "opening" means starting within the first four tokens.
@@ -115,7 +115,7 @@ def _callsign_decision(
 def classify(
     utt: Utterance,
     lexicon: RoleLexicon,
-    variants: Iterable[VariantEntry] | Callable[[Utterance], list[CallsignMatch]],
+    match: Callable[[Utterance], list[CallsignMatch]],
     rule_order: str = "keywords-first",
 ) -> tuple[RoleLabel, ClassificationTrace]:
     """Assign a role to one utterance.
@@ -133,17 +133,11 @@ def classify(
     and deterministic: every utterance, including an empty one, gets
     exactly one (label, trace) pair.
 
-    ``variants`` is either the context's (callsign, variant) entries or a
-    matcher such as ``ContextMatcher``: a callable from the utterance to
-    its sorted matches, run only when step 4 is reached.
+    ``match`` maps the utterance to its sorted callsign matches, as
+    ``ContextMatcher`` does; it runs only when step 4 is reached.
     """
     if rule_order not in RULE_ORDERS:
         raise ValueError(f"rule_order must be one of {RULE_ORDERS}, got {rule_order!r}")
-    if callable(variants):
-        match = variants
-    else:
-        entries = list(variants)
-        match = lambda u: find_matches(u, entries)  # noqa: E731
     if rule_order == "callsign-first":
         decision = _callsign_decision(utt, match) or _keyword_decision(utt.tokens, lexicon)
     else:
@@ -171,38 +165,6 @@ def classify_corpus(
     for utt in corpus:
         label, trace = classify(utt, lexicon, match, rule_order)
         yield utt, label, trace
-
-
-@dataclass
-class SplitResult:
-    """Materialized two-way split of a corpus plus per-utterance traces."""
-
-    atco: list[Utterance] = field(default_factory=list)
-    pilot: list[Utterance] = field(default_factory=list)
-    traces: list[tuple[str, RoleLabel, ClassificationTrace]] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.traces)
-
-
-def split_corpus(
-    corpus: Iterable[Utterance],
-    lexicon: RoleLexicon,
-    telephony: TelephonyLexicon,
-    rule_order: str = "keywords-first",
-    icao_digits: bool = False,
-) -> SplitResult:
-    """Partition a corpus into controller and pilot halves.
-
-    Every input utterance lands in exactly one half, and every decision is
-    recorded in ``traces`` in input order.
-    """
-    result = SplitResult()
-    for utt, label, trace in classify_corpus(corpus, lexicon, telephony, rule_order, icao_digits):
-        (result.atco if label is RoleLabel.ATCO else result.pilot).append(utt)
-        result.traces.append((utt.id, label, trace))
-    return result
 
 
 def load_role_lexicon(path: str | Path) -> RoleLexicon:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .callsign import (
     MalformedCallsign,
-    VariantKind,
     default_telephony_lexicon,
     expand_callsign,
     load_telephony_lexicon,
@@ -47,19 +46,13 @@ from .mmi import (
     toy_train,
 )
 from .mmi.check import run_verification
+from .mmi.train import DEFAULT_TASK_WEIGHT, POOLED_TASK_ID
 
 # bad input, never a program bug: each of these maps to exit code 1
 _DATA_ERRORS = (
     MalformedCallsign, CorpusFormatError, EmptyReference, OovWord, NoPath, DivergenceDetected,
     OSError, UnicodeDecodeError,
 )
-
-_KIND_ORDER = {
-    VariantKind.FULL_TELEPHONY: 0,
-    VariantKind.LETTER_SPELLED: 1,
-    VariantKind.SHORTENED: 2,
-}
-
 
 def _config_hash(args: argparse.Namespace) -> str:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler"}
@@ -124,10 +117,7 @@ def _read_labels(path: str) -> dict[str, RoleLabel]:
 
 def _cmd_expand(args, manifest: dict) -> int:
     cs = parse_callsign(args.callsign)
-    variants = sorted(
-        expand_callsign(cs, _telephony(args), icao_digits=args.icao_digits),
-        key=lambda v: (_KIND_ORDER[v.kind], v.tokens),
-    )
+    variants = expand_callsign(cs, _telephony(args), icao_digits=args.icao_digits)
     manifest["result"] = {
         "callsign": {
             "airline_code": cs.airline_code,
@@ -241,18 +231,15 @@ def _cmd_mmi_check(args, manifest: dict) -> int:
 
 
 def _cmd_mmi_train(args, manifest: dict) -> int:
-    corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols or None)
+    corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols)
     if not corpus:
         raise CorpusFormatError(f"{args.corpus}: no training utterances")
     lexicon = load_phone_lexicon(args.lexicon)
-    n_symbols = args.n_symbols or 1 + max(
-        max(utt.symbols) for batch in corpus.values() for utt in batch
-    )
     # one run per model: (its corpus, task weight, shared array name, task id -> bias array name)
     if args.mode == "multitask":
         plan = [(corpus, args.alpha, "shared", {tid: f"bias_{tid}" for tid in sorted(corpus)})]
     elif args.mode == "pooled":
-        plan = [(pool_corpus(corpus), 1.0, "shared", {0: "bias_0"})]
+        plan = [(pool_corpus(corpus), 1.0, "shared", {POOLED_TASK_ID: f"bias_{POOLED_TASK_ID}"})]
     else:  # single: one independent model per task
         plan = [
             ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})
@@ -261,7 +248,7 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
     config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
     runs, arrays = [], {}
     for batches, alpha, shared_name, bias_names in plan:
-        result = toy_train(build_tasks(batches, lexicon, alpha=alpha), batches, config, n_symbols=n_symbols)
+        result = toy_train(build_tasks(batches, lexicon, alpha=alpha), batches, config, n_symbols=args.n_symbols)
         runs.append({
             "task_ids": sorted(batches),
             "initial_objective": result.initial_objective,
@@ -273,7 +260,7 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
     if args.out:
         _write_atomic([Path(args.out)], lambda stream: np.savez(stream, **arrays), binary=True)
         manifest["outputs"] = {"model": args.out}
-    manifest["result"] = {"mode": args.mode, "n_symbols": n_symbols, "runs": runs}
+    manifest["result"] = {"mode": args.mode, "n_symbols": args.n_symbols, "runs": runs}
     return 0
 
 
@@ -298,24 +285,23 @@ def _number(convert, non_negative: bool = True):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="atckit", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="add human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="expand a callsign into spoken variants")
+    p = sub.add_parser("expand", help="expand a callsign into spoken variants")
     p.add_argument("--callsign", required=True)
     p.add_argument("--telephony", help="telephony lexicon TSV (default: packaged)")
     p.add_argument("--icao-digits", action="store_true", help="use tree/fife/niner digit words")
+    p.add_argument("--pretty", action="store_true", help="add human-readable output")
     p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("filter", parents=[common], help="keep utterances mentioning a context callsign")
+    p = sub.add_parser("filter", help="keep utterances mentioning a context callsign")
     p.add_argument("--corpus", required=True)
     p.add_argument("--telephony")
     p.add_argument("--icao-digits", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_filter)
 
-    p = sub.add_parser("classify", parents=[common], help="split a corpus into ATCO and pilot halves")
+    p = sub.add_parser("classify", help="split a corpus into ATCO and pilot halves")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", help="role keyword file (default: packaged)")
     p.add_argument("--telephony")
@@ -324,31 +310,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score predicted roles against gold")
+    p = sub.add_parser("evaluate", help="score predicted roles against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("wer", parents=[common], help="word error rate of hypothesis vs reference")
+    p = sub.add_parser("wer", help="word error rate of hypothesis vs reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.set_defaults(handler=_cmd_wer)
 
-    p = sub.add_parser("mmi-check", parents=[common], help="verify objective numerics against oracles")
+    p = sub.add_parser("mmi-check", help="verify objective numerics against oracles")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--enum-instances", type=_number(int), default=80)
     p.add_argument("--fd-instances", type=_number(int), default=30)
     p.add_argument("--zero-instances", type=_number(int), default=10)
     p.set_defaults(handler=_cmd_mmi_check)
 
-    p = sub.add_parser("mmi-train", parents=[common], help="toy gradient-ascent training")
+    p = sub.add_parser("mmi-train", help="toy gradient-ascent training")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True, help="word<TAB>phones TSV")
     p.add_argument("--mode", choices=("single", "pooled", "multitask"), default="multitask")
     p.add_argument("--steps", type=_number(int), default=200)
     p.add_argument("--learning-rate", type=_number(float, non_negative=False), default=0.1)
-    p.add_argument("--alpha", type=_number(float), default=0.5, help="task weight (multitask mode)")
-    p.add_argument("--n-symbols", type=_number(int), default=0, help="symbol inventory size (0 = infer)")
+    p.add_argument("--alpha", type=_number(float), default=DEFAULT_TASK_WEIGHT, help="task weight (multitask mode)")
+    p.add_argument("--n-symbols", type=_number(int), required=True, help="symbol inventory size")
     p.add_argument("--out", help="write trained parameters as .npz")
     p.set_defaults(handler=_cmd_mmi_train)
 

@@ -14,7 +14,9 @@ spelled code immediately to its left. Per utterance the matcher indexes
 the tokens once and reads each context entry with ``CALLSIGN_RE``. Only
 where the tail's first word (the spoken first digit, honouring
 ``icao_digits``) occurs does it build the tail, compare it in full and
-check leftward; match objects are built only at a hit. Its memos (parsed
+check leftward; match objects are built only at a hit. The spoken words
+come from ``callsign.spoken_tail`` and ``callsign.spoken_heads``, the
+same helpers ``expand_callsign`` builds from. Its memos (parsed
 entries, shortened variants, and each callsign's objects from its first
 tail match on) belong to one matcher, which lives for one run, and each
 holds at most ``MEMO_SIZE`` entries.
@@ -38,9 +40,10 @@ from .callsign import (
     TelephonyLexicon,
     VariantKind,
     expand_callsign,
-    nato_letter,
     parse_callsign,
     spoken_digit,
+    spoken_heads,
+    spoken_tail,
 )
 from .corpus import Utterance
 
@@ -144,8 +147,7 @@ def _parse(icao_digits: bool, raw: str) -> tuple[str, str, str, str] | None:
 
 
 def _shortened(icao_digits: bool, number: str, suffix: str) -> SpokenVariant:
-    digits = tuple(spoken_digit(d, icao_digits) for d in number)
-    return SpokenVariant(digits + tuple(nato_letter(c) for c in suffix), VariantKind.SHORTENED)
+    return SpokenVariant(spoken_tail(number, suffix, icao_digits), VariantKind.SHORTENED)
 
 
 def _hit(
@@ -154,13 +156,8 @@ def _hit(
     """The callsign, and each word sequence that may stand left of its tail
     with the variant it makes; built at the callsign's first tail match."""
     tail = shortened(number, suffix).tokens
-    spelled = tuple(nato_letter(c) for c in code)
-    prefixes = [(spelled, SpokenVariant(spelled + tail, VariantKind.LETTER_SPELLED))]
-    designator = lexicon.get(code)
-    if designator:
-        designator = tuple(designator)
-        prefixes.append((designator, SpokenVariant(designator + tail, VariantKind.FULL_TELEPHONY)))
-    return Callsign(code, number, suffix), tuple(prefixes)
+    heads = tuple((head, SpokenVariant(head + tail, kind)) for kind, head in spoken_heads(code, lexicon))
+    return Callsign(code, number, suffix), heads
 
 
 class ContextMatcher:
@@ -206,12 +203,12 @@ class ContextMatcher:
             end = start + len(tail)
             if tokens[start:end] != tail:
                 continue
-            cs, prefixes = self.hit(code, number, suffix)
+            cs, heads = self.hit(code, number, suffix)
             matches.append(CallsignMatch(cs, shortened, start, end))
-            for prefix, variant in prefixes:
-                head = start - len(prefix)
-                if head >= 0 and tokens[head:start] == prefix:
-                    matches.append(CallsignMatch(cs, variant, head, end))
+            for head, variant in heads:
+                at = start - len(head)
+                if at >= 0 and tokens[at:start] == head:
+                    matches.append(CallsignMatch(cs, variant, at, end))
 
 
 def filter_corpus(

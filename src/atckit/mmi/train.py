@@ -26,6 +26,8 @@ from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import mmi_gradient, multitask_objective
 
 DEFAULT_TASK_WEIGHT = 0.5
+POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
+DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
 
 
 class DivergenceDetected(RuntimeError):
@@ -36,14 +38,11 @@ class DivergenceDetected(RuntimeError):
 class TrainConfig:
     steps: int = 200
     learning_rate: float = 0.1
-    alpha: float | None = None  # overrides every task's weight when set
-    divergence_patience: int = 10
 
 
 @dataclass
 class TrainResult:
     model: EmissionModel
-    tasks: list[MmiTask]
     # trace[0] is the objective at initialization, trace[k] after k updates
     objective_trace: list[float] = field(default_factory=list)
 
@@ -68,15 +67,14 @@ def toy_train(
     update; with a small enough learning rate on fixed batches it is
     non-decreasing. Each step takes its trace point and its gradient from
     one mmi_gradient pass; only the point after the last update comes
-    from the forward-only multitask_objective. Ten consecutive decreases,
-    or any objective that is not finite, abort with DivergenceDetected.
+    from the forward-only multitask_objective. DIVERGENCE_PATIENCE
+    consecutive decreases, or any objective that is not finite, abort with
+    DivergenceDetected.
     """
     tasks = list(tasks)
     for task in tasks:
         if not corpus.get(task.task_id):
             raise ValueError(f"task {task.task_id} has no training utterances")
-    if config.alpha is not None:
-        tasks = [dataclasses.replace(t, alpha=config.alpha) for t in tasks]
     model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
     trace: list[float] = []
     drops = 0
@@ -90,18 +88,19 @@ def toy_train(
         else:
             objective = multitask_objective(corpus, tasks, model)
         if not math.isfinite(objective):
-            raise DivergenceDetected(
-                f"objective is {objective} after {step} steps: the learning rate is too large, "
-                "or a transcript needs more frames than its utterance has"
-            )
+            # before the first update only the data can be at fault
+            cause = "a transcript needs more frames than its utterance has"
+            if step:
+                cause = "the learning rate is too large, or " + cause
+            raise DivergenceDetected(f"objective is {objective} after {step} steps: {cause}")
         drops = drops + 1 if trace and objective < trace[-1] else 0
         trace.append(objective)
-        if drops >= config.divergence_patience:
+        if drops >= DIVERGENCE_PATIENCE:
             raise DivergenceDetected(
                 f"objective fell for {drops} consecutive steps "
                 f"(last {trace[-1]:.6f}); lower the learning rate"
             )
-    return TrainResult(model=model, tasks=tasks, objective_trace=trace)
+    return TrainResult(model=model, objective_trace=trace)
 
 
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
@@ -120,10 +119,9 @@ def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def load_training_corpus(path: str | Path, n_symbols: int | None = None) -> dict[int, list[TrainingUtterance]]:
+def load_training_corpus(path: str | Path, n_symbols: int) -> dict[int, list[TrainingUtterance]]:
     """Per-task training utterances from a JSONL corpus file; symbol ids must
-    lie in ``[0, n_symbols)``, or just be non-negative without ``n_symbols``."""
-    limit = math.inf if n_symbols is None else n_symbols
+    lie in ``[0, n_symbols)``."""
 
     def record(obj: dict) -> TrainingUtterance:
         task, symbols, words = obj.get("task"), obj.get("symbols"), obj.get("words")
@@ -131,8 +129,8 @@ def load_training_corpus(path: str | Path, n_symbols: int | None = None) -> dict
             raise CorpusFormatError("'task' must be an integer")
         if not isinstance(symbols, list) or not symbols or not all(type(s) is int for s in symbols):
             raise CorpusFormatError("'symbols' must be a non-empty array of integers")
-        if not all(0 <= s < limit for s in symbols):
-            raise CorpusFormatError(f"symbol ids must lie in [0, {limit}), got {symbols}")
+        if not all(0 <= s < n_symbols for s in symbols):
+            raise CorpusFormatError(f"symbol ids must lie in [0, {n_symbols}), got {symbols}")
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
             raise CorpusFormatError("'words' must be an array of strings")
         return TrainingUtterance(task_id=task, symbols=tuple(symbols), words=tuple(words))
@@ -181,13 +179,11 @@ def build_tasks(
     return tasks
 
 
-def pool_corpus(
-    corpus: Mapping[int, Sequence[TrainingUtterance]], pooled_id: int = 0
-) -> dict[int, list[TrainingUtterance]]:
-    """Relabel every utterance into one merged task, preserving task order."""
+def pool_corpus(corpus: Mapping[int, Sequence[TrainingUtterance]]) -> dict[int, list[TrainingUtterance]]:
+    """Relabel every utterance into task ``POOLED_TASK_ID``, preserving task order."""
     merged = [
-        dataclasses.replace(utt, task_id=pooled_id)
+        dataclasses.replace(utt, task_id=POOLED_TASK_ID)
         for task_id in sorted(corpus)
         for utt in corpus[task_id]
     ]
-    return {pooled_id: merged}
+    return {POOLED_TASK_ID: merged}

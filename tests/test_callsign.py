@@ -96,6 +96,12 @@ class TestExpand:
             VariantKind.SHORTENED: "eight four juliett",
         }
 
+    def test_variants_come_in_kind_order(self, telephony):
+        known = expand_callsign(parse_callsign("TVS84J"), telephony)
+        assert [v.kind for v in known] == list(VariantKind)
+        unknown = expand_callsign(parse_callsign("XXX1"), telephony)
+        assert [v.kind for v in unknown] == [VariantKind.LETTER_SPELLED, VariantKind.SHORTENED]
+
     def test_two_letter_suffix_expansion(self, telephony):
         texts = {v.text for v in expand_callsign(parse_callsign("LUF189AF"), telephony)}
         assert "lufthansa one eight nine alfa foxtrot" in texts

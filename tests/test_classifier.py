@@ -11,10 +11,9 @@ from atckit.classifier import (
     _parse_role_lexicon,
     classify,
     classify_corpus,
-    split_corpus,
 )
 from atckit.corpus import CorpusFormatError, RoleLabel, Utterance, tokenize
-from atckit.matcher import CallsignMatch, ContextMatcher, expand_context_callsigns
+from atckit.matcher import CallsignMatch, ContextMatcher, expand_context_callsigns, find_matches
 
 from synth import (
     branch_cases,
@@ -31,10 +30,15 @@ def tvs_variants(telephony):
     return [(cs, v) for v in expand_callsign(cs, telephony)]
 
 
+def over(entries):
+    """A matcher over explicit (callsign, variant) entries."""
+    return lambda utt: find_matches(utt, entries)
+
+
 class TestClassifyExamples:
     def test_early_callsign_is_atco(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("skytravel eight four juliett descend flight level eight zero"))
-        label, trace = classify(utt, role_lexicon, tvs_variants(telephony))
+        label, trace = classify(utt, role_lexicon, over(tvs_variants(telephony)))
         assert label is RoleLabel.ATCO
         assert trace.fired_rule is FiredRule.CALLSIGN_EARLY
         assert isinstance(trace.evidence, CallsignMatch)
@@ -42,21 +46,21 @@ class TestClassifyExamples:
 
     def test_pilot_keyword_beats_early_callsign(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("wilco skytravel eight four juliett"))
-        label, trace = classify(utt, role_lexicon, tvs_variants(telephony))
+        label, trace = classify(utt, role_lexicon, over(tvs_variants(telephony)))
         assert label is RoleLabel.PILOT
         assert trace.fired_rule is FiredRule.PILOT_KEYWORD
         assert trace.evidence == "wilco"
 
     def test_atco_keyword_fires_anywhere(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("good morning skytravel eight four juliett wind two one zero"))
-        label, trace = classify(utt, role_lexicon, tvs_variants(telephony))
+        label, trace = classify(utt, role_lexicon, over(tvs_variants(telephony)))
         assert label is RoleLabel.ATCO
         assert trace.fired_rule is FiredRule.ATCO_KEYWORD
         assert trace.evidence == "wind"
 
     def test_no_evidence_falls_back_to_pilot(self, role_lexicon):
         utt = Utterance("u", tokenize("proceeding direct"))
-        label, trace = classify(utt, role_lexicon, [])
+        label, trace = classify(utt, role_lexicon, over([]))
         assert label is RoleLabel.PILOT
         assert trace.fired_rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
         assert trace.evidence is None
@@ -66,29 +70,29 @@ class TestClassifyExamples:
 class TestDecisionProcedure:
     def test_conflict_resolved_by_earliest_keyword(self, role_lexicon):
         atco_first = Utterance("u", tokenize("wind check then wilco"))
-        label, trace = classify(atco_first, role_lexicon, [])
+        label, trace = classify(atco_first, role_lexicon, over([]))
         assert (label, trace.evidence) == (RoleLabel.ATCO, "wind")
         pilot_first = Utterance("u", tokenize("wilco and wind check"))
-        label, trace = classify(pilot_first, role_lexicon, [])
+        label, trace = classify(pilot_first, role_lexicon, over([]))
         assert (label, trace.evidence) == (RoleLabel.PILOT, "wilco")
 
     def test_early_window_boundary(self, role_lexicon, telephony):
         variants = tvs_variants(telephony)
         at_three = Utterance("u", ("good", "morning", "morning", "eight", "four", "juliett"))
-        label, trace = classify(at_three, role_lexicon, variants)
+        label, trace = classify(at_three, role_lexicon, over(variants))
         assert (label, trace.fired_rule) == (RoleLabel.ATCO, FiredRule.CALLSIGN_EARLY)
         at_four = Utterance("u", ("good", "morning", "morning", "morning", "eight", "four", "juliett"))
-        label, trace = classify(at_four, role_lexicon, variants)
+        label, trace = classify(at_four, role_lexicon, over(variants))
         assert (label, trace.fired_rule) == (RoleLabel.PILOT, FiredRule.CALLSIGN_LATE_OR_ABSENT)
 
     def test_empty_utterance_is_total(self, role_lexicon):
-        label, trace = classify(Utterance("u", ()), role_lexicon, [])
+        label, trace = classify(Utterance("u", ()), role_lexicon, over([]))
         assert label is RoleLabel.PILOT
         assert trace.fired_rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
 
     def test_deterministic(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("good morning skytravel eight four juliett"))
-        results = {classify(utt, role_lexicon, tvs_variants(telephony)) for _ in range(5)}
+        results = {classify(utt, role_lexicon, over(tvs_variants(telephony))) for _ in range(5)}
         assert len(results) == 1
 
     def test_keyword_dominance_over_callsign_position(self, role_lexicon, telephony):
@@ -101,21 +105,21 @@ class TestDecisionProcedure:
             tokens = [rng.choice(fillers) for _ in range(rng.randint(0, 3))] + [word]
             if rng.random() < 0.5:  # callsign right at the front must not matter
                 tokens = list(tvs_variants(telephony)[0][1].tokens) + tokens
-            label, _ = classify(Utterance("u", tuple(tokens)), role_lexicon, variants)
+            label, _ = classify(Utterance("u", tuple(tokens)), role_lexicon, over(variants))
             assert label is expected
 
     def test_rule_order_flag_flips_precedence(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("wilco skytravel eight four juliett"))
         variants = tvs_variants(telephony)
-        keywords_first, _ = classify(utt, role_lexicon, variants, rule_order="keywords-first")
-        callsign_first, trace = classify(utt, role_lexicon, variants, rule_order="callsign-first")
+        keywords_first, _ = classify(utt, role_lexicon, over(variants), rule_order="keywords-first")
+        callsign_first, trace = classify(utt, role_lexicon, over(variants), rule_order="callsign-first")
         assert keywords_first is RoleLabel.PILOT
         assert callsign_first is RoleLabel.ATCO
         assert trace.fired_rule is FiredRule.CALLSIGN_EARLY
 
     def test_unknown_rule_order_rejected(self, role_lexicon):
         with pytest.raises(ValueError):
-            classify(Utterance("u", ()), role_lexicon, [], rule_order="chaos")
+            classify(Utterance("u", ()), role_lexicon, over([]), rule_order="chaos")
 
     def test_agrees_with_straight_line_oracle(self, role_lexicon, telephony):
         rng = random.Random(42)
@@ -133,7 +137,7 @@ class TestDecisionProcedure:
             want_label, want_rule = classify_oracle(
                 utt.tokens, role_lexicon.atco_words, role_lexicon.pilot_words, starts
             )
-            label, trace = classify(utt, role_lexicon, variants)
+            label, trace = classify(utt, role_lexicon, over(variants))
             assert (label, trace.fired_rule.value) == (want_label, want_rule)
 
 
@@ -162,7 +166,7 @@ class TestContextMatching:
         got = list(classify_corpus(corpus, role_lexicon, telephony, rule_order, icao_digits))
         for utt, label, trace in got:
             variants = expand_context_callsigns(utt.context_callsigns or (), telephony, icao_digits=icao_digits)
-            assert (label, trace) == classify(utt, role_lexicon, variants, rule_order)
+            assert (label, trace) == classify(utt, role_lexicon, over(variants), rule_order)
 
 
 class TestBranchSuite:
@@ -182,25 +186,22 @@ class TestBranchSuite:
 
 
 class TestSplitCorpus:
+    """classify_corpus is the partition: one label per utterance, in input order."""
+
     def test_partition_counts(self, role_lexicon, telephony):
         corpus = [
             Utterance(f"a{i}", tokenize("wind check here")) for i in range(6)
         ] + [Utterance(f"p{i}", tokenize("wilco")) for i in range(4)]
-        result = split_corpus(iter(corpus), role_lexicon, telephony)
-        assert len(result.atco) == 6
-        assert len(result.pilot) == 4
-        assert len(result.traces) == result.total == 10
+        labels = [label for _, label, _ in classify_corpus(iter(corpus), role_lexicon, telephony)]
+        assert labels == [RoleLabel.ATCO] * 6 + [RoleLabel.PILOT] * 4
 
     def test_every_utterance_lands_in_exactly_one_half(self, role_lexicon, telephony):
         rng = random.Random(44)
         cases = branch_cases(rng, 8, role_lexicon, telephony)
         corpus = [c["utterance"] for c in cases]
-        result = split_corpus(iter(corpus), role_lexicon, telephony)
-        atco_ids = {u.id for u in result.atco}
-        pilot_ids = {u.id for u in result.pilot}
-        assert atco_ids.isdisjoint(pilot_ids)
-        assert atco_ids | pilot_ids == {u.id for u in corpus}
-        assert [uid for uid, _, _ in result.traces] == [u.id for u in corpus]
+        tagged = list(classify_corpus(iter(corpus), role_lexicon, telephony))
+        assert [utt.id for utt, _, _ in tagged] == [u.id for u in corpus]
+        assert all(label in (RoleLabel.ATCO, RoleLabel.PILOT) for _, label, _ in tagged)
 
     def test_malformed_context_entries_skipped(self, role_lexicon, telephony):
         utt = Utterance("u", tokenize("eight four juliett"), context_callsigns=("84TVS", "TVS84J"))
@@ -246,7 +247,7 @@ class TestRoleLexicon:
 
     def test_keyword_matching_is_whole_token(self, role_lexicon):
         # "we" is a pilot word; "weather" must not trigger it
-        label, trace = classify(Utterance("u", ("weather",)), role_lexicon, [])
+        label, trace = classify(Utterance("u", ("weather",)), role_lexicon, over([]))
         assert trace.fired_rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
         assert label is RoleLabel.PILOT
 
@@ -260,7 +261,7 @@ def test_trace_requires_evidence_exactly_when_a_cue_fired():
 
 def test_trace_serialization_shapes(role_lexicon, telephony):
     utt = Utterance("u", tokenize("skytravel eight four juliett"))
-    _, trace = classify(utt, role_lexicon, tvs_variants(telephony))
+    _, trace = classify(utt, role_lexicon, over(tvs_variants(telephony)))
     obj = trace.to_json()
     assert obj["rule"] == "callsign_early"
     assert obj["evidence"]["callsign"] == "TVS84J"

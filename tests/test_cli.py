@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from atckit import cli
+from atckit import classifier, cli
 from atckit.cli import main
 from atckit.callsign import VariantKind, expand_callsign, parse_callsign
 from atckit.classifier import RULE_ORDERS, FiredRule, classify_corpus
@@ -456,7 +457,7 @@ class TestMmiCli:
         out = tmp_path / "model.npz"
         code, manifest, _ = run_cli(
             capsys,
-            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon),
+            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2",
              "--mode", mode, "--steps", "5", "--learning-rate", "0.05", "--out", str(out)],
         )
         assert code == 0
@@ -500,7 +501,7 @@ class TestMmiCli:
         out = tmp_path / "model.npz"
         code, manifest, _ = run_cli(
             capsys,
-            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon),
+            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2",
              "--mode", mode, "--steps", "5", "--learning-rate", "0.05", "--out", str(out)],
         )
         assert code == 0
@@ -513,9 +514,11 @@ class TestMmiCli:
             assert all(arrays[k].shape == (2, 2) for k in keys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.tsv", "model.npz", "train.jsonl"]
 
-    def run_train(self, capsys, corpus, lexicon, *extra):
+    def run_train(self, capsys, corpus, lexicon, *extra, n_symbols="3"):
         return run_cli(
-            capsys, ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--steps", "3", *extra]
+            capsys,
+            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--steps", "3",
+             "--n-symbols", n_symbols, *extra],
         )
 
     def test_negative_symbol_is_a_data_error(self, tmp_path, capsys):
@@ -529,10 +532,25 @@ class TestMmiCli:
 
     def test_symbol_beyond_inventory_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
-        code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--n-symbols", "1")
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, n_symbols="1")
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
         assert f"{corpus}:1:" in manifest["message"]
+
+    def test_n_symbols_is_required(self, tmp_path, capsys):
+        # the inventory is never sized from the data: one huge symbol id
+        # cannot make training allocate a huge emission table
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with corpus.open("a", encoding="utf-8") as stream:
+            stream.write(json.dumps({"task": 1, "symbols": [0, 10**12], "words": ["ab"]}) + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--steps", "1"])
+        assert excinfo.value.code == 2
+        assert "--n-symbols" in capsys.readouterr().err
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, n_symbols="30")
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert f"{corpus}:5:" in manifest["message"]
 
     def test_divergent_training_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
@@ -601,7 +619,8 @@ class TestMmiCli:
         wanted = "a finite number" if option == "--learning-rate" else "a non-negative"
         if argv[0] == "mmi-train":
             corpus, lexicon = self.write_training_files(tmp_path)
-            argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon)]
+            # argparse refuses the bad value first, before it reads these
+            argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2"]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -612,7 +631,7 @@ class TestMmiCli:
         corpus, lexicon = self.write_training_files(tmp_path)
         corpus.write_text('{"task": 1, "symbols": [0], "words": ["zz"]}\n', encoding="utf-8")
         code, manifest, _ = run_cli(
-            capsys, ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon)]
+            capsys, ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2"]
         )
         assert code == 1
         assert manifest["error"] == "OovWord"
@@ -650,6 +669,34 @@ class TestHarness:
         with pytest.raises(SystemExit) as excinfo:
             main(["filter", "--threads", "2", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filter", "--corpus", "{d}/c", "--out", "{d}/o"],
+            ["classify", "--corpus", "{d}/c", "--out-prefix", "{d}/o"],
+            ["evaluate", "--gold", "{d}/g", "--pred", "{d}/p"],
+            ["wer", "--ref", "{d}/r", "--hyp", "{d}/h"],
+            ["mmi-check"],
+            ["mmi-train", "--corpus", "{d}/c", "--lexicon", "{d}/l", "--n-symbols", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_pretty_option_only_on_expand(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(d=tmp_path) for arg in argv] + ["--pretty"])
+        assert excinfo.value.code == 2
+
+    def test_benchmark_tracer_names_resolve(self):
+        # perfbench wraps module-level names of the program; dropping one of
+        # them breaks traced benchmark runs
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        originals = (cli.read_corpus, cli.toy_train, classifier.classify, classifier.find_matches)
+        spans.uninstall(spans.install(spans.Tracer()))
+        assert (cli.read_corpus, cli.toy_train, classifier.classify, classifier.find_matches) == originals
 
     def test_program_bug_is_not_reported_as_a_data_error(self, tmp_path, monkeypatch):
         def broken(path):
