@@ -177,6 +177,13 @@ def spoken_tail(number: str, suffix: str, icao_digits: bool = False) -> tuple[st
     return tuple(spoken_digit(d, icao_digits) for d in number) + tuple(nato_letter(c) for c in suffix)
 
 
+def written_chars(icao_digits: bool = False) -> dict[str, str]:
+    """Tail word -> the character it speaks: a digit word its digit, a
+    phonetic-alphabet word its uppercase letter. One-to-one per digit style."""
+    digits = {spoken_digit(d, icao_digits): d for d in DIGIT_WORDS}
+    return digits | {word: c.upper() for c, word in NATO_ALPHABET.items()}
+
+
 def spoken_heads(code: str, lexicon: TelephonyLexicon) -> tuple[tuple[VariantKind, tuple[str, ...]], ...]:
     """The words that may stand before the tail, each with the variant kind
     it makes: the telephony designator when the lexicon knows the code,

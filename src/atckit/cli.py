@@ -205,8 +205,9 @@ def _cmd_evaluate(args, manifest: dict) -> int:
 
 
 def _cmd_wer(args, manifest: dict) -> int:
-    ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
-    hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
+    with open(args.ref, encoding="utf-8") as ref, open(args.hyp, encoding="utf-8") as hyp:
+        # only a newline ends a line, as in iter_jsonl (str.splitlines also breaks at \x0c, U+2028, ...)
+        ref_lines, hyp_lines = ([line.removesuffix("\n") for line in lines] for lines in (ref, hyp))
     if len(ref_lines) != len(hyp_lines):
         raise CorpusFormatError(
             f"line counts differ: {len(ref_lines)} references, {len(hyp_lines)} hypotheses"

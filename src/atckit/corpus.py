@@ -6,8 +6,9 @@ A corpus file is UTF-8 newline-delimited JSON, one utterance per line:
      "role": "atco", "callsigns": ["TVS84J"]}
 
 ``role`` and ``callsigns`` are optional. ``text`` is normalized on ingest:
-lowercased, split on ASCII whitespace, punctuation stripped from token
-edges. Empty transcripts are representable and never dropped.
+lowercased, split on whitespace as ``str.split()`` reads it (Unicode
+whitespace such as U+00A0 and ``\x1c`` included), punctuation stripped
+from token edges. Empty transcripts are representable and never dropped.
 
 Every JSONL input goes through ``iter_jsonl``, every line-oriented lexicon
 file (telephony, phones, role keywords) through ``iter_lexicon_lines``.
@@ -144,8 +145,9 @@ def iter_jsonl(
 
 
 def iter_lexicon_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, stripped line)`` for each line left non-blank once its ``#`` comment is cut."""
-    for lineno, line in enumerate(text.splitlines(), 1):
+    """Yield ``(lineno, stripped line)`` for each line left non-blank once its
+    ``#`` comment is cut. Only a newline ends a line, as in ``iter_jsonl``."""
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line

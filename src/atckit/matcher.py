@@ -7,30 +7,29 @@ keeps an utterance iff at least one variant of one of its own context
 callsigns occurs in it.
 
 ``filter_corpus`` and ``classify_corpus`` share one match path,
-``ContextMatcher``, anchored on the shortened tail (the spoken digits and
-suffix letters). The tail is a suffix of every spoken variant, so each
-telephony or spelled match is a tail match with the designator or the
-spelled code immediately to its left. Per utterance the matcher indexes
-the tokens once and reads each context entry with ``CALLSIGN_RE``. Only
-where the tail's first word (the spoken first digit, honouring
-``icao_digits``) occurs does it build the tail, compare it in full and
-check leftward; match objects are built only at a hit. The spoken words
-come from ``callsign.spoken_tail`` and ``callsign.spoken_heads``, the
-same helpers ``expand_callsign`` builds from. Its memos (parsed
-entries, shortened variants, and each callsign's objects from its first
-tail match on) belong to one matcher, which lives for one run, and each
-holds at most ``MEMO_SIZE`` entries.
+``ContextMatcher``. It spells each utterance as a string with one
+character per token (``callsign.written_chars``): a digit word becomes
+its digit, a phonetic-alphabet word its uppercase letter, any other token
+a space. The mapping is one-to-one, so a callsign's shortened tail (its
+spoken digits and suffix letters) starts at token ``i`` exactly when its
+written ``number + suffix`` occurs at character ``i``; ``str.find`` finds
+every occurrence, overlapping ones included. The tail is a suffix of every
+spoken variant, so a telephony or spelled match is a tail match with the
+words of ``callsign.spoken_heads`` right before it, compared as tokens.
+Variants are sliced from the utterance's tokens at a hit. The matcher
+lives for one run and keeps two plain dicts, each emptied when it reaches
+``MEMO_SIZE`` entries: each entry's parse, and each matched entry's
+callsign and heads.
 
 ``find_matches`` searches explicit variant entries. Over
-``expand_context_callsigns`` it is the full expansion the tail-anchored
-path is tested against.
+``expand_context_callsigns`` it is the full expansion ``ContextMatcher``
+is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .callsign import (
     CALLSIGN_RE,
@@ -41,15 +40,15 @@ from .callsign import (
     VariantKind,
     expand_callsign,
     parse_callsign,
-    spoken_digit,
     spoken_heads,
-    spoken_tail,
+    written_chars,
 )
 from .corpus import Utterance
 
 VariantEntry = tuple[Callsign, SpokenVariant]
 
 MEMO_SIZE = 1024  # entries per ContextMatcher memo; a sector has a few hundred callsigns at most
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -137,27 +136,12 @@ def expand_context_callsigns(
     return out
 
 
-def _parse(icao_digits: bool, raw: str) -> tuple[str, str, str, str] | None:
-    """(the tail's first word, code, number, suffix), or None for a malformed entry."""
-    parts = CALLSIGN_RE.fullmatch(raw)
-    if parts is None:
-        return None
-    code, number, suffix = parts.groups()
-    return spoken_digit(number[0], icao_digits), code, number, suffix
-
-
-def _shortened(icao_digits: bool, number: str, suffix: str) -> SpokenVariant:
-    return SpokenVariant(spoken_tail(number, suffix, icao_digits), VariantKind.SHORTENED)
-
-
-def _hit(
-    lexicon: TelephonyLexicon, shortened: Callable[[str, str], SpokenVariant], code: str, number: str, suffix: str
-) -> tuple[Callsign, tuple[tuple[tuple[str, ...], SpokenVariant], ...]]:
-    """The callsign, and each word sequence that may stand left of its tail
-    with the variant it makes; built at the callsign's first tail match."""
-    tail = shortened(number, suffix).tokens
-    heads = tuple((head, SpokenVariant(head + tail, kind)) for kind, head in spoken_heads(code, lexicon))
-    return Callsign(code, number, suffix), heads
+def _remember(memo: dict, key: str, value):
+    """Store ``value`` under ``key``, first emptying a memo that is full."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class ContextMatcher:
@@ -171,44 +155,44 @@ class ContextMatcher:
     """
 
     def __init__(self, lexicon: TelephonyLexicon, icao_digits: bool = False) -> None:
-        # the memos hold partials, not bound methods: no reference cycle keeps
-        # a finished run's memos alive until the next garbage collection
-        self.parse = lru_cache(maxsize=MEMO_SIZE)(partial(_parse, icao_digits))
-        self.shortened = lru_cache(maxsize=MEMO_SIZE)(partial(_shortened, icao_digits))
-        self.hit = lru_cache(maxsize=MEMO_SIZE)(partial(_hit, lexicon, self.shortened))
+        self.lexicon = lexicon
+        self.chars = written_chars(icao_digits)
+        # raw entry -> (code, number, suffix), or None when malformed
+        self.parts: dict[str, tuple[str, str, str] | None] = {}
+        # raw entry -> (callsign, spoken_heads), from the entry's first hit on
+        self.hits: dict[str, tuple[Callsign, tuple[tuple[VariantKind, tuple[str, ...]], ...]]] = {}
 
     def __call__(self, utt: Utterance, stats: FilterStats | None = None) -> list[CallsignMatch]:
         tokens = utt.tokens
-        at: dict[str, list[int]] = {}
-        for i, tok in enumerate(tokens):
-            at.setdefault(tok, []).append(i)
+        chars = self.chars
+        written = "".join([chars.get(tok, " ") for tok in tokens])
         matches: list[CallsignMatch] = []
         for raw in utt.context_callsigns or ():
-            entry = self.parse(raw)
-            if entry is None:
+            parts = self.parts.get(raw, _UNSEEN)
+            if parts is _UNSEEN:
+                found = CALLSIGN_RE.fullmatch(raw)
+                parts = _remember(self.parts, raw, found and found.groups())
+            if parts is None:
                 if stats is not None:
                     stats.malformed_callsigns += 1
                 continue
-            starts = at.get(entry[0])
-            if starts:
-                self._extend(matches, tokens, starts, *entry[1:])
+            tail = parts[1] + parts[2]
+            start = written.find(tail)
+            if start < 0:
+                continue
+            cs, heads = self.hits.get(raw) or _remember(
+                self.hits, raw, (Callsign(*parts), spoken_heads(parts[0], self.lexicon))
+            )
+            while start >= 0:
+                end = start + len(tail)
+                matches.append(CallsignMatch(cs, SpokenVariant(tokens[start:end], VariantKind.SHORTENED), start, end))
+                for kind, head in heads:
+                    at = start - len(head)
+                    if at >= 0 and tokens[at:start] == head:
+                        matches.append(CallsignMatch(cs, SpokenVariant(tokens[at:end], kind), at, end))
+                start = written.find(tail, start + 1)
         matches.sort(key=_match_order)
         return matches
-
-    def _extend(self, matches, tokens, starts, code, number, suffix) -> None:
-        """Append the matches of one callsign whose tail may start at ``starts``."""
-        shortened = self.shortened(number, suffix)
-        tail = shortened.tokens
-        for start in starts:
-            end = start + len(tail)
-            if tokens[start:end] != tail:
-                continue
-            cs, heads = self.hit(code, number, suffix)
-            matches.append(CallsignMatch(cs, shortened, start, end))
-            for head, variant in heads:
-                at = start - len(head)
-                if at >= 0 and tokens[at:start] == head:
-                    matches.append(CallsignMatch(cs, variant, at, end))
 
 
 def filter_corpus(

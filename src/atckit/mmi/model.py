@@ -16,6 +16,8 @@ import numpy as np
 
 from .graphs import HmmGraph, build_numerator
 
+DEFAULT_TASK_WEIGHT = 0.5  # a task's alpha unless the caller gives one
+
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax with max-shift, stable for any finite input."""
@@ -98,7 +100,7 @@ class MmiTask:
     phones: tuple[str, ...]
     lexicon: Mapping[str, tuple[int, ...]]  # word -> phone-id sequence
     den_graph: HmmGraph
-    alpha: float = 0.5
+    alpha: float = DEFAULT_TASK_WEIGHT
     lm_logprob: Callable[[tuple[str, ...]], float] = zero_lm
     _num_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -22,10 +22,9 @@ from typing import Mapping, Sequence
 
 from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
 from .graphs import OovWord, build_denominator, phone_bigram_counts
-from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
+from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import mmi_gradient, multitask_objective
 
-DEFAULT_TASK_WEIGHT = 0.5
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
 DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
 

@@ -15,6 +15,8 @@ from atckit.callsign import (
     parse_callsign,
     spoken_alphabet,
     spoken_digit,
+    spoken_tail,
+    written_chars,
 )
 
 from atckit.corpus import CorpusFormatError
@@ -173,10 +175,23 @@ class TestTelephonyLexicon:
         with pytest.raises(CorpusFormatError, match=r"^tel\.tsv:3: bad airline code"):
             _parse_telephony("# header\nABC\tsome airline\nAB1\tother\n", source="tel.tsv")
 
+    def test_only_newlines_end_lines(self):
+        text = "# header\x0cstill the header\nABC\tsome\x1cairline\u2028inc\n"
+        assert _parse_telephony(text).get("ABC") == ("some", "airline", "inc")
+        with pytest.raises(CorpusFormatError, match=r"^tel\.tsv:3: bad airline code"):
+            _parse_telephony(text + "AB1\tother\n", source="tel.tsv")
+
 
 def test_spoken_variant_text_joins_tokens():
     v = SpokenVariant(("eight", "four"), VariantKind.SHORTENED)
     assert v.text == "eight four"
+
+
+@pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
+def test_written_chars_spell_the_tail(icao_digits):
+    chars = written_chars(icao_digits)
+    assert len(chars) == 36
+    assert "".join(chars[word] for word in spoken_tail("3590", "XJ", icao_digits)) == "3590XJ"
 
 
 def test_digit_and_nato_tables_cover_their_domains():

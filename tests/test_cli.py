@@ -393,6 +393,14 @@ class TestWerCli:
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
 
+    def test_only_newlines_end_lines(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+        ref.write_text("eight four\x0cjuliett\n", encoding="utf-8")
+        hyp.write_text("eight four juliett\n", encoding="utf-8")
+        code, manifest, _ = run_cli(capsys, ["wer", "--ref", str(ref), "--hyp", str(hyp)])
+        assert code == 0
+        assert (manifest["result"]["wer"], manifest["result"]["utterances"]) == (0.0, 1)
+
     def test_empty_reference_line_reported(self, tmp_path, capsys):
         ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
         write_lines(ref, [""])

@@ -176,10 +176,42 @@ class TestContextMatcher:
         assert stats.malformed_callsigns == 2
         self.check(utt, telephony, False)
 
+    @pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
+    def test_written_characters_do_not_match(self, telephony, icao_digits):
+        def found(utt, lexicon=telephony):
+            return [(m.callsign.raw, m.start_index, m.variant.kind.value) for m in self.check(utt, lexicon, icao_digits)]
+
+        # tokens that are the characters the matcher spells with, not words
+        tokens = ("tvs84j", "8", "4", "j", "eight", "four", "j", "8", "four", "juliett", "TVS", "84J", "J")
+        assert found(Utterance("u", tokens, context_callsigns=("TVS84J", "TVS8", "TVS4J"))) == [
+            ("TVS8", 4, "shortened"),
+            ("TVS4J", 8, "shortened"),
+        ]
+        # each digit style's words, and only those, spell its 3, 5 and 9
+        utt = Utterance("u", tokenize("tree niner three nine five tree fife"), context_callsigns=("TVS39", "TVS35"))
+        assert found(utt) == ([("TVS39", 0, "shortened"), ("TVS35", 5, "shortened")] if icao_digits else [
+            ("TVS39", 2, "shortened")
+        ])
+        utt = Utterance("u", tokenize("lufthansa seven x-ray seven x ray seven xray"), context_callsigns=("DLH7X",))
+        assert found(utt) == [("DLH7X", 0, "full_telephony"), ("DLH7X", 1, "shortened")]
+        # designators spoken with digit and letter words
+        lexicon = TelephonyLexicon({"OTW": ("one", "two"), "ABX": ("alfa", "bravo")})
+        utt = Utterance(
+            "u", tokenize("one two two four alfa bravo four"), context_callsigns=("OTW24", "ABX4", "OTW4")
+        )
+        assert found(utt, lexicon) == [
+            ("OTW24", 0, "full_telephony"),
+            ("OTW24", 2, "shortened"),
+            ("ABX4", 3, "shortened"),
+            ("OTW4", 3, "shortened"),
+            ("ABX4", 4, "full_telephony"),
+            ("ABX4", 6, "shortened"),
+            ("OTW4", 6, "shortened"),
+        ]
+
     def test_memos_stay_bounded(self, telephony):
         rng = random.Random(38)
         match = ContextMatcher(telephony)
-        memos = (match.parse, match.shortened, match.hit)
         seen = set()
         while len(seen) < 20000:
             raw = random_callsign_raw(rng)
@@ -189,8 +221,8 @@ class TestContextMatcher:
             variants = expand_callsign(parse_callsign(raw), telephony)
             shortened = next(v for v in variants if v.kind is VariantKind.SHORTENED)
             assert match(Utterance("u", shortened.tokens, context_callsigns=(raw,)))
-        assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in memos)
-        assert all(memo.cache_info().currsize == MEMO_SIZE for memo in memos)
+            assert len(match.parts) <= MEMO_SIZE and len(match.hits) <= MEMO_SIZE
+        assert len(match.parts) == len(match.hits) > 0
 
 
 class TestFilterCorpus:

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from atckit.corpus import CorpusFormatError
 from atckit.mmi import (
     DivergenceDetected,
     EmissionModel,
+    MmiTask,
     OovWord,
     TrainConfig,
     TrainingUtterance,
@@ -214,6 +218,10 @@ class TestFileFormats:
         corpus = {1: [TrainingUtterance(1, (0,), ("zz",))]}
         with pytest.raises(OovWord):
             build_tasks(corpus, WORD_PHONES)
+
+    def test_task_weight_default_is_one_constant(self):
+        field_default = next(f.default for f in dataclasses.fields(MmiTask) if f.name == "alpha")
+        assert field_default is inspect.signature(build_tasks).parameters["alpha"].default
 
     def test_pool_corpus_relabels_everything(self):
         corpus = two_task_corpus()
