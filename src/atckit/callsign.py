@@ -22,6 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .corpus import CorpusFormatError, iter_lexicon_lines
@@ -95,12 +96,12 @@ class Callsign:
     suffix: str = ""
 
     def __post_init__(self) -> None:
-        if not _CODE_RE.fullmatch(self.airline_code):
-            raise MalformedCallsign(f"airline code {self.airline_code!r} must be three uppercase letters")
-        if not self.number_part or not self.number_part.isascii() or not self.number_part.isdigit():
-            raise MalformedCallsign(f"number part {self.number_part!r} must be a non-empty digit string")
-        if not re.fullmatch(r"[A-Z]*", self.suffix):
-            raise MalformedCallsign(f"suffix {self.suffix!r} may contain only uppercase letters")
+        match = CALLSIGN_RE.fullmatch(self.raw)
+        if match is None or match.groups() != (self.airline_code, self.number_part, self.suffix):
+            raise MalformedCallsign(
+                f"({self.airline_code!r}, {self.number_part!r}, {self.suffix!r}) is not an ICAO "
+                "callsign split as AAA, 1-4 digits, 0-2 letters"
+            )
 
     @property
     def raw(self) -> str:
@@ -119,24 +120,8 @@ class SpokenVariant:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class TelephonyLexicon:
-    """Map from three-letter ICAO airline code to its spoken designator."""
-
-    entries: Mapping[str, tuple[str, ...]]
-
-    def get(self, code: str) -> tuple[str, ...] | None:
-        return self.entries.get(code)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def designator_words(self) -> frozenset[str]:
-        """All tokens appearing in any designator."""
-        return frozenset(tok for toks in self.entries.values() for tok in toks)
+# three-letter ICAO airline code -> its spoken designator words
+TelephonyLexicon = Mapping[str, tuple[str, ...]]
 
 
 def parse_callsign(raw: str) -> Callsign:
@@ -215,7 +200,7 @@ def expand_callsign(
 def spoken_alphabet(lexicon: TelephonyLexicon) -> frozenset[str]:
     """Closed token universe variants draw from: designators, phonetic words, digits."""
     return (
-        lexicon.designator_words()
+        frozenset(tok for designator in lexicon.values() for tok in designator)
         | frozenset(NATO_ALPHABET.values())
         | frozenset(DIGIT_WORDS.values())
         | frozenset(ICAO_DIGIT_ALTERNATES.values())
@@ -226,7 +211,8 @@ def load_telephony_lexicon(path: str | Path) -> TelephonyLexicon:
     """Load a lexicon from TSV: ``ICAO_CODE<TAB>spoken designator`` per line.
 
     ``#`` starts a comment (full-line or trailing); blank lines are
-    ignored. Designators are lowercased and may span several words.
+    ignored. Designators are lowercased and may span several words. The
+    result is a read-only mapping.
     """
     return _parse_telephony(Path(path).read_text(encoding="utf-8"), source=str(path))
 
@@ -243,7 +229,7 @@ def _parse_telephony(text: str, source: str = "<string>") -> TelephonyLexicon:
         if not tokens:
             raise CorpusFormatError(f"{source}:{lineno}: empty designator for {code}")
         entries[code] = tokens
-    return TelephonyLexicon(entries=entries)
+    return MappingProxyType(entries)
 
 
 @lru_cache(maxsize=1)

@@ -38,7 +38,6 @@ from .mmi import (
     DivergenceDetected,
     NoPath,
     OovWord,
-    TrainConfig,
     build_tasks,
     load_phone_lexicon,
     load_training_corpus,
@@ -95,19 +94,20 @@ def _role_lexicon(args: argparse.Namespace):
     return default_role_lexicon()
 
 
-def _label(obj: dict) -> tuple[str, RoleLabel]:
-    if "id" not in obj or "role" not in obj:
-        raise CorpusFormatError("every record needs 'id' and 'role'")
-    return str(obj["id"]), parse_role(obj["role"])
-
-
 def _read_labels(path: str) -> dict[str, RoleLabel]:
-    """id -> role from any JSONL whose records carry both fields."""
+    """id -> role from any JSONL whose records carry both fields, each id once."""
     labels: dict[str, RoleLabel] = {}
+
+    def label(obj: dict) -> tuple[str, RoleLabel]:
+        if "id" not in obj or "role" not in obj:
+            raise CorpusFormatError("every record needs 'id' and 'role'")
+        uid = str(obj["id"])
+        if uid in labels:  # records before this one are stored: iter_jsonl is lazy
+            raise CorpusFormatError(f"duplicate id {uid!r}")
+        return uid, parse_role(obj["role"])
+
     with open(path, "r", encoding="utf-8") as stream:
-        for uid, role in iter_jsonl(stream, path, _label):
-            if uid in labels:
-                raise CorpusFormatError(f"{path}: duplicate id {uid!r}")
+        for uid, role in iter_jsonl(stream, path, label):
             labels[uid] = role
     return labels
 
@@ -246,10 +246,12 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
             ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})
             for tid in sorted(corpus)
         ]
-    config = TrainConfig(steps=args.steps, learning_rate=args.learning_rate)
     runs, arrays = [], {}
     for batches, alpha, shared_name, bias_names in plan:
-        result = toy_train(build_tasks(batches, lexicon, alpha=alpha), batches, config, n_symbols=args.n_symbols)
+        result = toy_train(
+            build_tasks(batches, lexicon, alpha=alpha), batches,
+            n_symbols=args.n_symbols, steps=args.steps, learning_rate=args.learning_rate,
+        )
         runs.append({
             "task_ids": sorted(batches),
             "initial_objective": result.initial_objective,

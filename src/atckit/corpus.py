@@ -101,13 +101,15 @@ class Utterance:
         if not isinstance(text, str):
             raise CorpusFormatError("'text' must be a string")
         callsigns = obj.get("callsigns")
-        if callsigns is not None and not isinstance(callsigns, list):
+        if callsigns is not None and not (
+            isinstance(callsigns, list) and all(isinstance(c, str) for c in callsigns)
+        ):
             raise CorpusFormatError("'callsigns' must be an array of strings")
         return cls(
             id=str(obj["id"]),
             tokens=tokenize(text),
             gold_role=None if obj.get("role") is None else parse_role(obj["role"]),
-            context_callsigns=tuple(str(c) for c in callsigns) if callsigns is not None else None,
+            context_callsigns=callsigns,
         )
 
     def to_json(self) -> dict:

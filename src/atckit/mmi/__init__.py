@@ -2,7 +2,6 @@
 
 from .graphs import Arc, HmmGraph, OovWord, build_denominator, build_numerator, phone_bigram_counts
 from .model import (
-    EmissionGradient,
     EmissionModel,
     MmiTask,
     TrainingUtterance,
@@ -19,7 +18,6 @@ from .objective import (
 )
 from .train import (
     DivergenceDetected,
-    TrainConfig,
     TrainResult,
     build_tasks,
     load_phone_lexicon,
@@ -35,7 +33,6 @@ __all__ = [
     "build_denominator",
     "build_numerator",
     "phone_bigram_counts",
-    "EmissionGradient",
     "EmissionModel",
     "MmiTask",
     "TrainingUtterance",
@@ -48,7 +45,6 @@ __all__ = [
     "mmi_objective",
     "multitask_objective",
     "DivergenceDetected",
-    "TrainConfig",
     "TrainResult",
     "build_tasks",
     "load_phone_lexicon",

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import Arc, HmmGraph, build_denominator, phone_bigram_counts
-from .model import EmissionGradient, EmissionModel, MmiTask, TrainingUtterance, zero_lm
+from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import NoPath, forward_logprob, mmi_gradient, mmi_objective, multitask_objective
 
 
@@ -64,9 +64,9 @@ def enumerate_logprob(
 
 def finite_difference_gradient(
     objective: Callable[[EmissionModel], float], em: EmissionModel, step: float = 1e-5
-) -> EmissionGradient:
+) -> EmissionModel:
     """Central-difference gradient of an objective over every parameter."""
-    grad = EmissionGradient.zeros_like(em)
+    grad = EmissionModel.zeros(*em.shared.shape, em.bias)
 
     def fill(param: np.ndarray, out: np.ndarray) -> None:
         for idx in np.ndindex(param.shape):
@@ -84,7 +84,7 @@ def finite_difference_gradient(
     return grad
 
 
-def gradient_relative_error(analytic: EmissionGradient, numeric: EmissionGradient) -> float:
+def gradient_relative_error(analytic: EmissionModel, numeric: EmissionModel) -> float:
     """Norm-wise relative disagreement between two gradients.
 
     Per-coordinate relative error is meaningless near zero crossings, so

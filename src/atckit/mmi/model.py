@@ -9,7 +9,7 @@ this scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +32,11 @@ def zero_lm(words: Sequence[str]) -> float:
 
 @dataclass
 class EmissionModel:
-    """Shared plus per-task emission logits, [n_phones, n_symbols] each."""
+    """Shared plus per-task emission logits, [n_phones, n_symbols] each.
+
+    A gradient with respect to those logits has the same layout, so it is
+    an EmissionModel too.
+    """
 
     shared: np.ndarray
     bias: dict[int, np.ndarray]
@@ -43,14 +47,6 @@ class EmissionModel:
             shared=np.zeros((n_phones, n_symbols)),
             bias={tid: np.zeros((n_phones, n_symbols)) for tid in task_ids},
         )
-
-    @property
-    def n_phones(self) -> int:
-        return self.shared.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.shared.shape[1]
 
     def effective_logits(self, task_id: int) -> np.ndarray:
         return self.shared + self.bias[task_id]
@@ -66,27 +62,8 @@ class EmissionModel:
         """Largest |row sum - 1| over phones; should sit at float rounding."""
         return float(np.abs(self.probs(task_id).sum(axis=1) - 1.0).max())
 
-    def copy(self) -> "EmissionModel":
-        return EmissionModel(
-            shared=self.shared.copy(), bias={tid: b.copy() for tid, b in self.bias.items()}
-        )
-
-
-@dataclass
-class EmissionGradient:
-    """Gradient with the same layout as EmissionModel."""
-
-    shared: np.ndarray
-    bias: dict[int, np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model: EmissionModel) -> "EmissionGradient":
-        return cls(
-            shared=np.zeros_like(model.shared),
-            bias={tid: np.zeros_like(b) for tid, b in model.bias.items()},
-        )
-
     def max_abs(self) -> float:
+        """Largest |entry| over the shared and every bias matrix."""
         parts = [np.abs(self.shared).max(initial=0.0)]
         parts.extend(np.abs(b).max(initial=0.0) for b in self.bias.values())
         return float(max(parts))
@@ -102,19 +79,14 @@ class MmiTask:
     den_graph: HmmGraph
     alpha: float = DEFAULT_TASK_WEIGHT
     lm_logprob: Callable[[tuple[str, ...]], float] = zero_lm
-    _num_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError(f"task weight must be non-negative, got {self.alpha}")
 
     def numerator_graph(self, words: tuple[str, ...]) -> HmmGraph:
-        """Alignment graph for one transcript, memoized per task."""
-        graph = self._num_cache.get(words)
-        if graph is None:
-            graph = build_numerator(words, self.lexicon)
-            self._num_cache[words] = graph
-        return graph
+        """Alignment graph for one transcript, built anew on every call."""
+        return build_numerator(words, self.lexicon)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import HmmGraph
-from .model import EmissionGradient, EmissionModel, MmiTask, TrainingUtterance
+from .model import EmissionModel, MmiTask, TrainingUtterance
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ def mmi_gradient(
     batches: Mapping[int, Sequence[TrainingUtterance]],
     tasks: Sequence[MmiTask],
     em: EmissionModel,
-) -> tuple[EmissionGradient, float]:
+) -> tuple[EmissionModel, float]:
     """Gradient of the multitask objective with respect to all logits, plus the objective.
 
     Per utterance the derivative with respect to task t's emission
@@ -159,7 +159,7 @@ def mmi_gradient(
     to it and nothing to the gradient, with one warning.
     """
     _check_tasks(tasks)
-    grad = EmissionGradient.zeros_like(em)
+    grad = EmissionModel.zeros(*em.shared.shape, em.bias)
     objective = 0
     for task in tasks:
         batch = batches.get(task.task_id, ())

@@ -34,12 +34,6 @@ class DivergenceDetected(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
-    steps: int = 200
-    learning_rate: float = 0.1
-
-
-@dataclass
 class TrainResult:
     model: EmissionModel
     # trace[0] is the objective at initialization, trace[k] after k updates
@@ -57,8 +51,10 @@ class TrainResult:
 def toy_train(
     tasks: Sequence[MmiTask],
     corpus: Mapping[int, Sequence[TrainingUtterance]],
-    config: TrainConfig,
+    *,
     n_symbols: int,
+    steps: int,
+    learning_rate: float,
 ) -> TrainResult:
     """Plain full-batch gradient ascent on the weighted multitask objective.
 
@@ -77,12 +73,12 @@ def toy_train(
     model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
     trace: list[float] = []
     drops = 0
-    for step in range(config.steps + 1):
+    for step in range(steps + 1):
         if step:
-            model.shared += config.learning_rate * grad.shared
+            model.shared += learning_rate * grad.shared
             for tid in model.bias:
-                model.bias[tid] += config.learning_rate * grad.bias[tid]
-        if step < config.steps:
+                model.bias[tid] += learning_rate * grad.bias[tid]
+        if step < steps:
             grad, objective = mmi_gradient(corpus, tasks, model)
         else:
             objective = multitask_objective(corpus, tasks, model)

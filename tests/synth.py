@@ -40,8 +40,8 @@ def safe_fillers(role_lexicon, telephony) -> tuple[str, ...]:
 
 def random_callsign_raw(rng: random.Random, telephony=None) -> str:
     """Random well-formed raw callsign; half the codes come from the lexicon."""
-    if telephony is not None and telephony.entries and rng.random() < 0.5:
-        code = rng.choice(sorted(telephony.entries))
+    if telephony and rng.random() < 0.5:
+        code = rng.choice(sorted(telephony))
     else:
         code = "".join(rng.choice(_CODE_LETTERS) for _ in range(3))
     number = "".join(rng.choice(string.digits) for _ in range(rng.randint(1, 4)))

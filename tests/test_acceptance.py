@@ -21,7 +21,6 @@ from atckit.mmi import (
     EmissionModel,
     MmiTask,
     NoPath,
-    TrainConfig,
     TrainingUtterance,
     build_tasks,
     forward_logprob,
@@ -265,19 +264,19 @@ def test_c7_multitask_demonstration():
             TrainingUtterance(2, (1, 1, 0, 0, 0, 1), ("ab", "ba")),
         ],
     }
-    config = TrainConfig(steps=200, learning_rate=0.1)
+    config = dict(steps=200, learning_rate=0.1)
 
-    multitask = toy_train(build_tasks(corpus, word_phones, alpha=0.5), corpus, config, n_symbols=2)
+    multitask = toy_train(build_tasks(corpus, word_phones, alpha=0.5), corpus, n_symbols=2, **config)
     strict_improvement = multitask.final_objective > multitask.initial_objective
 
     singles = {}
     for task in build_tasks(corpus, word_phones, alpha=1.0):
         singles[task.task_id] = toy_train(
-            [task], {task.task_id: corpus[task.task_id]}, config, n_symbols=2
+            [task], {task.task_id: corpus[task.task_id]}, n_symbols=2, **config
         )
     pooled_corpus = pool_corpus(corpus)
     pooled = toy_train(
-        build_tasks(pooled_corpus, word_phones, alpha=1.0), pooled_corpus, config, n_symbols=2
+        build_tasks(pooled_corpus, word_phones, alpha=1.0), pooled_corpus, n_symbols=2, **config
     )
     pooled_logits = pooled.model.effective_logits(0)
 

@@ -10,6 +10,7 @@ from atckit.callsign import (
     SpokenVariant,
     VariantKind,
     _parse_telephony,
+    default_telephony_lexicon,
     expand_callsign,
     nato_letter,
     parse_callsign,
@@ -61,6 +62,10 @@ class TestParse:
             Callsign("TVS", "", "J")
         with pytest.raises(MalformedCallsign):
             Callsign("TVS", "84", "j")
+        # the fields must be CALLSIGN_RE's split of their concatenation
+        for fields in [("TVS", "12345"), ("TVS", "84", "JKL"), ("TVS1", "2"), ("TVS", "\u0663")]:
+            with pytest.raises(MalformedCallsign):
+                Callsign(*fields)
 
 
 class TestSpokenTables:
@@ -153,6 +158,11 @@ class TestTelephonyLexicon:
         assert telephony.get("TVS") == ("skytravel",)
         assert telephony.get("LUF") == ("lufthansa",)
         assert telephony.get("NAX") == ("nor", "shuttle")
+
+    def test_shipped_lexicon_is_read_only(self):
+        with pytest.raises(TypeError):
+            default_telephony_lexicon()["TVS"] = ("spoofed",)
+        assert default_telephony_lexicon()["TVS"] == ("skytravel",)
 
     def test_parse_skips_comments_and_blanks(self):
         lex = _parse_telephony("# header\n\nABC\tsome airline\n")

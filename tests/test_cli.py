@@ -344,6 +344,25 @@ class TestEvaluate:
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
 
+    @pytest.mark.parametrize(
+        "bad_file,gold_lines,pred_lines",
+        [
+            ("gold", ['{"id": "a", "role": "atco"}', '{"id": "a", "role": "pilot"}'],
+             ['{"id": "a", "role": "atco"}']),
+            ("pred", ['{"id": "a", "role": "atco"}'], ['{"id": "a", "role": "atco"}', '{"id": "b"}']),
+        ],
+        ids=["duplicate_id_in_gold", "missing_role_in_pred"],
+    )
+    def test_bad_label_record_is_a_data_error(self, tmp_path, capsys, bad_file, gold_lines, pred_lines):
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        write_lines(gold, gold_lines)
+        write_lines(pred, pred_lines)
+        code, manifest, _ = run_cli(capsys, ["evaluate", "--gold", str(gold), "--pred", str(pred)])
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        bad = gold if bad_file == "gold" else pred
+        assert manifest["message"].startswith(f"{bad}:2: ")
+
     def test_round_trip_matches_in_process_run(self, tmp_path, capsys, telephony, role_lexicon):
         rng = random.Random(83)
         cases = branch_cases(rng, 10, role_lexicon, telephony)

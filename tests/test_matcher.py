@@ -5,7 +5,6 @@ import re
 import pytest
 
 from atckit.callsign import (
-    TelephonyLexicon,
     VariantKind,
     expand_callsign,
     parse_callsign,
@@ -133,7 +132,7 @@ class TestContextMatcher:
 
     @pytest.mark.parametrize("icao_digits", [False, True], ids=["plain", "icao"])
     def test_designator_equal_to_spelled_code(self, icao_digits):
-        lexicon = TelephonyLexicon({"TVS": ("tango", "victor", "sierra"), "DLH": ("lufthansa",)})
+        lexicon = {"TVS": ("tango", "victor", "sierra"), "DLH": ("lufthansa",)}
         utt = Utterance("u", tokenize("tango victor sierra eight four juliett"), context_callsigns=("TVS84J",))
         kinds = [(m.start_index, m.variant.kind) for m in self.check(utt, lexicon, False)]
         assert kinds == [
@@ -195,7 +194,7 @@ class TestContextMatcher:
         utt = Utterance("u", tokenize("lufthansa seven x-ray seven x ray seven xray"), context_callsigns=("DLH7X",))
         assert found(utt) == [("DLH7X", 0, "full_telephony"), ("DLH7X", 1, "shortened")]
         # designators spoken with digit and letter words
-        lexicon = TelephonyLexicon({"OTW": ("one", "two"), "ABX": ("alfa", "bravo")})
+        lexicon = {"OTW": ("one", "two"), "ABX": ("alfa", "bravo")}
         utt = Utterance(
             "u", tokenize("one two two four alfa bravo four"), context_callsigns=("OTW24", "ABX4", "OTW4")
         )
@@ -308,7 +307,8 @@ class TestCorpusJsonl:
     @pytest.mark.parametrize(
         "line",
         ['not json', '[1, 2]', '{"text": "missing id"}', '{"id": "a", "role": "tower"}',
-         '{"id": "a", "text": 5}', '{"id": "a", "text": null}'],
+         '{"id": "a", "text": 5}', '{"id": "a", "text": null}',
+         '{"id": "a", "callsigns": [5]}', '{"id": "a", "callsigns": [null]}'],
     )
     def test_bad_records_raise_with_location(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"

@@ -10,7 +10,6 @@ from atckit.mmi import (
     EmissionModel,
     MmiTask,
     OovWord,
-    TrainConfig,
     TrainingUtterance,
     build_tasks,
     load_phone_lexicon,
@@ -59,14 +58,14 @@ class TestToyTrain:
     def test_zero_learning_rate_changes_nothing(self):
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
-        result = toy_train(tasks, corpus, TrainConfig(steps=5, learning_rate=0.0), n_symbols=2)
+        result = toy_train(tasks, corpus, n_symbols=2, steps=5, learning_rate=0.0)
         assert result.objective_trace == [result.objective_trace[0]] * 6
         assert (result.model.shared == 0).all()
 
     def test_trace_length_and_monotonicity_at_small_rate(self):
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
-        result = toy_train(tasks, corpus, TrainConfig(steps=50, learning_rate=0.05), n_symbols=2)
+        result = toy_train(tasks, corpus, n_symbols=2, steps=50, learning_rate=0.05)
         trace = result.objective_trace
         assert len(trace) == 51
         assert all(b >= a for a, b in zip(trace, trace[1:]))
@@ -74,15 +73,15 @@ class TestToyTrain:
     def test_single_task_matches_direct_ascent(self):
         corpus = {1: two_task_corpus()[1]}
         task = build_tasks(corpus, WORD_PHONES, alpha=1.0)[0]
-        config = TrainConfig(steps=10, learning_rate=0.1)
-        result = toy_train([task], corpus, config, n_symbols=2)
+        steps, learning_rate = 10, 0.1
+        result = toy_train([task], corpus, n_symbols=2, steps=steps, learning_rate=learning_rate)
         # direct loop over the per-task objective only
         em = EmissionModel.zeros(2, 2, [1])
         trace = [mmi_objective(corpus[1], task, em)]
-        for _ in range(config.steps):
+        for _ in range(steps):
             grad, _ = mmi_gradient(corpus, [task], em)
-            em.shared += config.learning_rate * grad.shared
-            em.bias[1] += config.learning_rate * grad.bias[1]
+            em.shared += learning_rate * grad.shared
+            em.bias[1] += learning_rate * grad.bias[1]
             trace.append(mmi_objective(corpus[1], task, em))
         assert result.objective_trace == trace
         np.testing.assert_array_equal(result.model.shared, em.shared)
@@ -105,14 +104,14 @@ class TestToyTrain:
         for name in calls:
             monkeypatch.setattr(train, name, counting(name))
         corpus = two_task_corpus()
-        toy_train(build_tasks(corpus, WORD_PHONES), corpus, TrainConfig(steps=5), n_symbols=2)
+        toy_train(build_tasks(corpus, WORD_PHONES), corpus, n_symbols=2, steps=5, learning_rate=0.1)
         assert calls == {"mmi_gradient": 5, "multitask_objective": 1}
 
     def test_non_finite_objective_is_divergence(self):
         corpus = {1: [TrainingUtterance(1, (0,), ("ab",))]}  # two phones cannot fit one frame
         tasks = build_tasks(corpus, WORD_PHONES)
         with pytest.raises(DivergenceDetected, match="-inf after 0 steps") as excinfo:
-            toy_train(tasks, corpus, TrainConfig(steps=3), n_symbols=2)
+            toy_train(tasks, corpus, n_symbols=2, steps=3, learning_rate=0.1)
         # no update has been applied yet, so the learning rate cannot be the cause
         assert str(excinfo.value).endswith(": a transcript needs more frames than its utterance has")
 
@@ -120,18 +119,18 @@ class TestToyTrain:
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
         with pytest.raises(DivergenceDetected):
-            toy_train(tasks, corpus, TrainConfig(steps=40, learning_rate=-0.2), n_symbols=2)
+            toy_train(tasks, corpus, n_symbols=2, steps=40, learning_rate=-0.2)
 
     def test_missing_task_data_rejected(self):
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
         with pytest.raises(ValueError):
-            toy_train(tasks, {1: corpus[1]}, TrainConfig(steps=1), n_symbols=2)
+            toy_train(tasks, {1: corpus[1]}, n_symbols=2, steps=1, learning_rate=0.1)
 
     def test_emissions_stay_normalized_across_updates(self):
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
-        result = toy_train(tasks, corpus, TrainConfig(steps=25, learning_rate=0.1), n_symbols=2)
+        result = toy_train(tasks, corpus, n_symbols=2, steps=25, learning_rate=0.1)
         for task in tasks:
             assert result.model.normalization_error(task.task_id) <= 1e-12
 
@@ -139,19 +138,19 @@ class TestToyTrain:
 class TestModeComparison:
     def test_multitask_improves_and_pooled_trails_single(self):
         corpus = two_task_corpus()
-        config = TrainConfig(steps=120, learning_rate=0.1)
+        config = dict(steps=120, learning_rate=0.1)
 
-        multitask = toy_train(build_tasks(corpus, WORD_PHONES, alpha=0.5), corpus, config, n_symbols=2)
+        multitask = toy_train(build_tasks(corpus, WORD_PHONES, alpha=0.5), corpus, n_symbols=2, **config)
         assert multitask.final_objective > multitask.initial_objective
 
         singles = {}
         for task in build_tasks(corpus, WORD_PHONES, alpha=1.0):
             singles[task.task_id] = toy_train(
-                [task], {task.task_id: corpus[task.task_id]}, config, n_symbols=2
+                [task], {task.task_id: corpus[task.task_id]}, n_symbols=2, **config
             )
 
         pooled_corpus = pool_corpus(corpus)
-        pooled = toy_train(build_tasks(pooled_corpus, WORD_PHONES, alpha=1.0), pooled_corpus, config, n_symbols=2)
+        pooled = toy_train(build_tasks(pooled_corpus, WORD_PHONES, alpha=1.0), pooled_corpus, n_symbols=2, **config)
         pooled_logits = pooled.model.effective_logits(0)
 
         for task in build_tasks(corpus, WORD_PHONES, alpha=1.0):
