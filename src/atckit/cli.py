@@ -220,12 +220,7 @@ def _cmd_wer(args, manifest: dict) -> int:
 
 
 def _cmd_mmi_check(args, manifest: dict) -> int:
-    checks = run_verification(
-        seed=args.seed,
-        enum_instances=args.enum_instances,
-        fd_instances=args.fd_instances,
-        zero_instances=args.zero_instances,
-    )
+    checks = run_verification(seed=args.seed)
     all_passed = all(c.passed for c in checks)
     manifest["result"] = {"checks": [c.to_json() for c in checks], "all_passed": all_passed}
     return 0 if all_passed else 1
@@ -325,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mmi-check", help="verify objective numerics against oracles")
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--enum-instances", type=_number(int), default=80)
-    p.add_argument("--fd-instances", type=_number(int), default=30)
-    p.add_argument("--zero-instances", type=_number(int), default=10)
     p.set_defaults(handler=_cmd_mmi_check)
 
     p = sub.add_parser("mmi-train", help="toy gradient-ascent training")

@@ -60,9 +60,6 @@ class CallsignMatch:
     start_index: int
     end_index: int  # exclusive
 
-    def __len__(self) -> int:
-        return self.end_index - self.start_index
-
 
 @dataclass
 class FilterStats:

@@ -1,6 +1,6 @@
 """Desk-scale multitask MMI objective over discrete-emission HMM graphs."""
 
-from .graphs import Arc, HmmGraph, OovWord, build_denominator, build_numerator, phone_bigram_counts
+from .graphs import ARC_DTYPE, HmmGraph, OovWord, build_denominator, build_numerator, phone_bigram_counts
 from .model import (
     EmissionModel,
     MmiTask,
@@ -27,7 +27,7 @@ from .train import (
 )
 
 __all__ = [
-    "Arc",
+    "ARC_DTYPE",
     "HmmGraph",
     "OovWord",
     "build_denominator",

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Arc, HmmGraph, build_denominator, phone_bigram_counts
+from .graphs import HmmGraph, build_denominator, phone_bigram_counts
 from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import NoPath, forward_logprob, mmi_gradient, mmi_objective, multitask_objective
 
@@ -41,19 +41,19 @@ def enumerate_logprob(
     Returns -inf when no path accepts, mirroring NoPath.
     """
     em_logprobs = em.log_probs(task_id)
-    finals = dict(graph.finals)
-    arcs_from: dict[int, list[Arc]] = {}
-    for arc in graph.arcs:
-        arcs_from.setdefault(arc.src, []).append(arc)
+    finals = graph.finals.tolist()
+    arcs_from: dict[int, list[tuple[int, int, int, float]]] = {}
+    for arc in graph.arcs.tolist():
+        arcs_from.setdefault(arc[0], []).append(arc)
     scores: list[float] = []
 
     def walk(state: int, t: int, acc: float) -> None:
         if t == len(symbols):
-            if state in finals:
+            if finals[state] > -math.inf:
                 scores.append(acc + finals[state])
             return
-        for arc in arcs_from.get(state, ()):
-            walk(arc.dst, t + 1, acc + arc.weight + float(em_logprobs[arc.phone, symbols[t]]))
+        for _, dst, phone, weight in arcs_from.get(state, ()):
+            walk(dst, t + 1, acc + weight + float(em_logprobs[phone, symbols[t]]))
 
     walk(graph.start, 0, 0.0)
     if not scores:
@@ -146,25 +146,17 @@ def random_instance(rng: random.Random, n_tasks: int = 1) -> tuple[
 
 def random_graph(rng: random.Random, n_states: int, n_phones: int) -> HmmGraph:
     """Random acceptor with a guaranteed start-to-final backbone."""
-    arcs = [
-        Arc(src=i, dst=i + 1, phone=rng.randrange(n_phones), weight=rng.uniform(-1.5, 0.0))
-        for i in range(n_states - 1)
-    ]
+    # (src, dst, phone, weight) tuples, drawn in that order
+    arcs = [(i, i + 1, rng.randrange(n_phones), rng.uniform(-1.5, 0.0)) for i in range(n_states - 1)]
     for _ in range(rng.randint(0, 2 * n_states)):
         arcs.append(
-            Arc(
-                src=rng.randrange(n_states),
-                dst=rng.randrange(n_states),
-                phone=rng.randrange(n_phones),
-                weight=rng.uniform(-1.5, 0.0),
-            )
+            (rng.randrange(n_states), rng.randrange(n_states), rng.randrange(n_phones), rng.uniform(-1.5, 0.0))
         )
-    finals = {n_states - 1: rng.uniform(-1.0, 0.0)}
+    finals = np.full(n_states, -np.inf)
+    finals[n_states - 1] = rng.uniform(-1.0, 0.0)
     if n_states > 1 and rng.random() < 0.4:
         finals[rng.randrange(n_states)] = rng.uniform(-1.0, 0.0)
-    return HmmGraph(
-        n_states=n_states, arcs=tuple(arcs), start=0, finals=tuple(finals.items())
-    )
+    return HmmGraph(n_states=n_states, arcs=arcs, start=0, finals=finals)
 
 
 def check_forward_enumeration(
@@ -268,17 +260,17 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
     return CheckResult("single_task_reduction", True, f"{instances} instances, bit-identical")
 
 
-def run_verification(
-    seed: int = 12345,
-    enum_instances: int = 80,
-    fd_instances: int = 30,
-    zero_instances: int = 10,
-) -> list[CheckResult]:
+ENUM_INSTANCES = 80
+FD_INSTANCES = 30
+ZERO_INSTANCES = 10  # each for the matched-graphs and the single-task check
+
+
+def run_verification(seed: int = 12345) -> list[CheckResult]:
     """Run the full suite; every CheckResult reports one named check."""
     rng = random.Random(seed)
     return [
-        check_forward_enumeration(rng, enum_instances),
-        check_gradient_fd(rng, fd_instances),
-        check_matched_graphs_zero(rng, zero_instances),
-        check_single_task_reduction(rng, zero_instances),
+        check_forward_enumeration(rng, ENUM_INSTANCES),
+        check_gradient_fd(rng, FD_INSTANCES),
+        check_matched_graphs_zero(rng, ZERO_INSTANCES),
+        check_single_task_reduction(rng, ZERO_INSTANCES),
     ]

@@ -1,5 +1,11 @@
 """HMM-style acceptors for the discriminative objective, in the log domain.
 
+A graph is two arrays. ``arcs`` holds one (src, dst, phone, weight) record
+per arc, with ``ARC_DTYPE`` as its dtype and the weight a natural log.
+``finals`` holds one final log weight per state, -inf where the state is
+not final. The builders write both arrays directly and the recursions in
+``objective`` index their fields, so no Python object exists per arc.
+
 Each arc consumes exactly one observation frame and scores it with the
 emission distribution of its phone label, so a path of length T accepts an
 observation sequence of length T. Two graph shapes matter here:
@@ -16,84 +22,76 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+ARC_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("phone", np.int64), ("weight", np.float64)])
 
 
 class OovWord(KeyError):
     """Raised when a transcript word is missing from the phone lexicon."""
 
 
-@dataclass(frozen=True)
-class Arc:
-    src: int
-    dst: int
-    phone: int
-    weight: float  # natural log
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmGraph:
-    """Arc-emitting acceptor: states 0..n_states-1, one start, weighted finals."""
+    """Arc-emitting acceptor: states 0..n_states-1, one start, weighted finals.
+
+    ``arcs`` takes anything ``np.asarray`` turns into ``ARC_DTYPE`` records,
+    such as a list of (src, dst, phone, weight) tuples; ``finals`` takes one
+    log weight per state. Both are stored as arrays.
+    """
 
     n_states: int
-    arcs: tuple[Arc, ...]
+    arcs: np.ndarray  # ARC_DTYPE records
     start: int
-    finals: tuple[tuple[int, float], ...]  # (state, final log weight)
+    finals: np.ndarray  # [n_states] final log weight, -inf for a non-final state
 
     def __post_init__(self) -> None:
-        if not (0 <= self.start < self.n_states):
+        object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=ARC_DTYPE))
+        object.__setattr__(self, "finals", np.asarray(self.finals, dtype=np.float64))
+        n, arcs, finals = self.n_states, self.arcs, self.finals
+        if arcs.ndim != 1:  # lists, unlike tuples, become one record per number
+            raise ValueError("arcs must be one (src, dst, phone, weight) record per arc")
+        if not (0 <= self.start < n):
             raise ValueError(f"start state {self.start} out of range")
-        if not self.finals:
+        if finals.shape != (n,):
+            raise ValueError(f"finals has shape {finals.shape}, expected ({n},)")
+        top = finals.max()
+        if not top < np.inf:  # max is NaN when any weight is
+            raise ValueError("a final weight is NaN or +inf")
+        if top == -np.inf:
             raise ValueError("graph has no final states")
-        for state, weight in self.finals:
-            if not (0 <= state < self.n_states):
-                raise ValueError(f"final state {state} out of range")
-            if not math.isfinite(weight):
-                raise ValueError(f"final weight of state {state} is not finite")
-        for arc in self.arcs:
-            if not (0 <= arc.src < self.n_states and 0 <= arc.dst < self.n_states):
-                raise ValueError(f"arc {arc} out of range")
-            if arc.phone < 0:
-                raise ValueError(f"arc {arc} has a negative phone label")
-            if not math.isfinite(arc.weight):
-                raise ValueError(f"arc {arc} weight is not finite")
+        src, dst = arcs["src"], arcs["dst"]
+        for bad, what in (
+            ((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n), "has a state out of range"),
+            (arcs["phone"] < 0, "has a negative phone label"),
+            (~np.isfinite(arcs["weight"]), "weight is not finite"),
+        ):
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"arc {i} {arcs[i]} {what}")
         if not self._reaches_final():
             raise ValueError("no path from start to any final state")
 
     def _reaches_final(self) -> bool:
-        final_states = {state for state, _ in self.finals}
+        """Depth-first search from the start; each arc is followed at most once."""
+        order = np.argsort(self.arcs["src"], kind="stable")
+        # arcs leaving state s are targets[first[s]:first[s + 1]]
+        first = np.searchsorted(self.arcs["src"][order], np.arange(self.n_states + 1)).tolist()
+        targets = self.arcs["dst"][order].tolist()
+        final = np.isfinite(self.finals).tolist()
         seen = {self.start}
-        frontier = [self.start]
-        while frontier:
-            if seen & final_states:
+        stack = [self.start]
+        while stack:
+            state = stack.pop()
+            if final[state]:
                 return True
-            nxt = []
-            for arc in self.arcs:
-                if arc.src in seen and arc.dst not in seen:
-                    seen.add(arc.dst)
-                    nxt.append(arc.dst)
-            frontier = nxt
-        return bool(seen & final_states)
-
-    @cached_property
-    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, phone, weight) as flat arrays for vectorized recursions."""
-        src = np.fromiter((a.src for a in self.arcs), dtype=np.int64, count=len(self.arcs))
-        dst = np.fromiter((a.dst for a in self.arcs), dtype=np.int64, count=len(self.arcs))
-        phone = np.fromiter((a.phone for a in self.arcs), dtype=np.int64, count=len(self.arcs))
-        weight = np.fromiter((a.weight for a in self.arcs), dtype=np.float64, count=len(self.arcs))
-        return src, dst, phone, weight
-
-    @cached_property
-    def final_vector(self) -> np.ndarray:
-        """Per-state final log weight, -inf for non-final states."""
-        vec = np.full(self.n_states, -np.inf)
-        for state, weight in self.finals:
-            vec[state] = weight
-        return vec
+            for nxt in targets[first[state]:first[state + 1]]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
 
 def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) -> HmmGraph:
@@ -103,23 +101,22 @@ def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) 
     every emitting state carries a self-loop, so any observation length at
     least the phone count is accepted. All arc and final weights are log 1.
     An empty transcript yields the single-state graph accepting only the
-    empty sequence.
+    empty sequence. Arc 2i is the forward arc i -> i+1 and arc 2i+1 the
+    self-loop on i+1, both emitting phones[i].
     """
     phones: list[int] = []
     for word in words:
         if word not in lexicon:
             raise OovWord(f"word {word!r} not in lexicon")
         phones.extend(lexicon[word])
-    arcs = []
-    for i, phone in enumerate(phones):
-        arcs.append(Arc(src=i, dst=i + 1, phone=phone, weight=0.0))
-        arcs.append(Arc(src=i + 1, dst=i + 1, phone=phone, weight=0.0))
-    return HmmGraph(
-        n_states=len(phones) + 1,
-        arcs=tuple(arcs),
-        start=0,
-        finals=((len(phones), 0.0),),
-    )
+    k = np.arange(2 * len(phones))
+    arcs = np.zeros(len(k), dtype=ARC_DTYPE)
+    arcs["src"] = (k + 1) // 2
+    arcs["dst"] = k // 2 + 1
+    arcs["phone"] = np.repeat(phones, 2)
+    finals = np.full(len(phones) + 1, -np.inf)
+    finals[-1] = 0.0
+    return HmmGraph(n_states=len(phones) + 1, arcs=arcs, start=0, finals=finals)
 
 
 def build_denominator(
@@ -127,28 +124,31 @@ def build_denominator(
 ) -> HmmGraph:
     """Phone-loop graph weighted by an add-one-smoothed bigram phone LM.
 
-    State 0 is the entry point with uniform initial weights; state 1+p
-    means "just emitted phone p". Every phone state is final with weight
+    State 0 is the entry point with uniform initial weights; state 1+i
+    means "just emitted phones[i]". Every phone state is final with weight
     log 1, so every non-empty phone sequence is accepted (and the empty
-    one is not).
+    one is not). The arcs are the n entry arcs, then the bigram arcs row by
+    row: from state 1+i to each state 1+j, emitting phones[j].
     """
     phones = list(phones)
     if not phones:
         raise ValueError("phone set is empty")
     n = len(phones)
-    state_of = {p: 1 + i for i, p in enumerate(phones)}
-    arcs = [Arc(src=0, dst=state_of[p], phone=p, weight=-math.log(n)) for p in phones]
+    if len(set(phones)) != n:
+        raise ValueError("phone set has a repeated phone")
+    states = np.arange(1, n + 1)
+    weights = [-math.log(n)] * n
     for p in phones:
         row_total = sum(bigram_counts.get((p, q), 0) for q in phones)
-        for q in phones:
-            prob = (bigram_counts.get((p, q), 0) + 1) / (row_total + n)
-            arcs.append(Arc(src=state_of[p], dst=state_of[q], phone=q, weight=math.log(prob)))
-    return HmmGraph(
-        n_states=n + 1,
-        arcs=tuple(arcs),
-        start=0,
-        finals=tuple((state_of[p], 0.0) for p in phones),
-    )
+        weights.extend(math.log((bigram_counts.get((p, q), 0) + 1) / (row_total + n)) for q in phones)
+    arcs = np.zeros(n + n * n, dtype=ARC_DTYPE)
+    arcs["src"][n:] = np.repeat(states, n)
+    arcs["dst"] = np.tile(states, n + 1)
+    arcs["phone"] = np.tile(phones, n + 1)
+    arcs["weight"] = weights
+    finals = np.zeros(n + 1)
+    finals[0] = -np.inf
+    return HmmGraph(n_states=n + 1, arcs=arcs, start=0, finals=finals)
 
 
 def phone_bigram_counts(sequences: Iterable[Sequence[int]]) -> Counter:

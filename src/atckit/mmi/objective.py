@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import HmmGraph
+from .graphs import ARC_DTYPE, HmmGraph
 from .model import EmissionModel, MmiTask, TrainingUtterance
 
 logger = logging.getLogger(__name__)
@@ -33,13 +33,13 @@ class NoPath(ArithmeticError):
 def _forward(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:
     """alpha[t, s], the log-sum over length-t paths from start ending in state
     s, plus the sequence log-likelihood; raises NoPath when that is -inf."""
-    src, dst, phone, weight = graph.arc_arrays
+    src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     alphas = np.full((len(symbols) + 1, graph.n_states), -np.inf)
     alphas[0, graph.start] = 0.0
     for t, sym in enumerate(symbols, start=1):
         scores = alphas[t - 1, src] + weight + em_logprobs[phone, sym]
         np.logaddexp.at(alphas[t], dst, scores)
-    total = float(np.logaddexp.reduce(alphas[len(symbols)] + graph.final_vector))
+    total = float(np.logaddexp.reduce(alphas[len(symbols)] + graph.finals))
     if total == -np.inf:
         raise NoPath(f"no accepting path of length {len(symbols)}")
     return alphas, total
@@ -47,9 +47,9 @@ def _forward(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -
 
 def _backward_betas(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> np.ndarray:
     """beta[t, s]: log-sum over suffix paths from state s consuming symbols t..T-1."""
-    src, dst, phone, weight = graph.arc_arrays
+    src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     betas = np.full((len(symbols) + 1, graph.n_states), -np.inf)
-    betas[len(symbols)] = graph.final_vector
+    betas[len(symbols)] = graph.finals
     for t in range(len(symbols) - 1, -1, -1):
         scores = weight + em_logprobs[phone, symbols[t]] + betas[t + 1, dst]
         np.logaddexp.at(betas[t], src, scores)
@@ -78,7 +78,7 @@ def emission_occupancy(
     phone p emits symbol s, under the posterior over accepting paths;
     summing gamma over everything gives the sequence length.
     """
-    src, dst, phone, weight = graph.arc_arrays
+    src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     alphas, total = _forward(graph, em_logprobs, symbols)
     betas = _backward_betas(graph, em_logprobs, symbols)
     syms = np.asarray(symbols, dtype=np.intp)[:, None]

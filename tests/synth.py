@@ -266,19 +266,19 @@ def edit_distance(a, b) -> int:
 
 def enumerate_logprob_oracle(graph, em_logprobs, symbols) -> float:
     """Log-likelihood by explicit enumeration of every accepting path."""
-    finals = dict(graph.finals)
+    finals = graph.finals.tolist()  # -inf for a non-final state
     arcs_from = defaultdict(list)
-    for arc in graph.arcs:
-        arcs_from[arc.src].append(arc)
+    for src, dst, phone, weight in graph.arcs.tolist():
+        arcs_from[src].append((dst, phone, weight))
     scores = []
 
     def walk(state, t, acc):
         if t == len(symbols):
-            if state in finals:
+            if finals[state] > -math.inf:
                 scores.append(acc + finals[state])
             return
-        for arc in arcs_from[state]:
-            walk(arc.dst, t + 1, acc + arc.weight + float(em_logprobs[arc.phone, symbols[t]]))
+        for dst, phone, weight in arcs_from[state]:
+            walk(dst, t + 1, acc + weight + float(em_logprobs[phone, symbols[t]]))
 
     walk(graph.start, 0, 0.0)
     if not scores:

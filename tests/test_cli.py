@@ -21,6 +21,8 @@ from atckit.callsign import VariantKind, expand_callsign, parse_callsign
 from atckit.classifier import RULE_ORDERS, FiredRule, classify_corpus
 from atckit.corpus import Utterance, write_corpus
 from atckit.evaluation import accumulate
+from atckit.mmi import objective
+from atckit.mmi.check import random_instance
 
 from synth import branch_cases, make_planted_corpus, random_callsign_raw, safe_fillers
 
@@ -34,6 +36,15 @@ def _reject_constant(name):
 def strict_manifest(out):
     """The first stdout line, parsed as strict JSON (no NaN or Infinity)."""
     return json.loads(out.splitlines()[0], parse_constant=_reject_constant)
+
+
+def perfbench_spans():
+    """perfbench/spans.py, the benchmark's tracer, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def run_cli(capsys, argv):
@@ -451,8 +462,7 @@ class TestMmiCli:
     def test_check_passes_and_reports_each_check(self, capsys):
         code, manifest, _ = run_cli(
             capsys,
-            ["mmi-check", "--seed", "3", "--enum-instances", "10", "--fd-instances", "4",
-             "--zero-instances", "3"],
+            ["mmi-check", "--seed", "3"],
         )
         assert code == 0
         result = manifest["result"]
@@ -630,9 +640,6 @@ class TestMmiCli:
             ["mmi-train", "--alpha", "-0.5"],
             ["mmi-train", "--steps", "-1"],
             ["mmi-train", "--n-symbols", "-3"],
-            ["mmi-check", "--enum-instances", "-1"],
-            ["mmi-check", "--fd-instances", "-1"],
-            ["mmi-check", "--zero-instances", "-1"],
             # "=" keeps argparse from reading "-inf" as an option
             ["mmi-train", "--learning-rate=nan"],
             ["mmi-train", "--learning-rate=inf"],
@@ -644,10 +651,9 @@ class TestMmiCli:
     def test_negative_value_is_a_usage_error(self, tmp_path, capsys, argv):
         option = argv[1].split("=")[0]
         wanted = "a finite number" if option == "--learning-rate" else "a non-negative"
-        if argv[0] == "mmi-train":
-            corpus, lexicon = self.write_training_files(tmp_path)
-            # argparse refuses the bad value first, before it reads these
-            argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2"]
+        corpus, lexicon = self.write_training_files(tmp_path)
+        # argparse refuses the bad value first, before it reads these
+        argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2"]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -717,13 +723,34 @@ class TestHarness:
     def test_benchmark_tracer_names_resolve(self):
         # perfbench wraps module-level names of the program; dropping one of
         # them breaks traced benchmark runs
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = perfbench_spans()
         originals = (cli.read_corpus, cli.toy_train, classifier.classify, classifier.find_matches)
         spans.uninstall(spans.install(spans.Tracer()))
         assert (cli.read_corpus, cli.toy_train, classifier.classify, classifier.find_matches) == originals
+
+    def test_benchmark_arc_frames_count_graph_arcs(self):
+        # perfbench counts mmi.objective.arc_frames as len(graph.arcs) times
+        # frames per recursion: two per occupancy call, one per forward call
+        spans = perfbench_spans()
+        tasks, batches, em = random_instance(random.Random(5), n_tasks=2)
+        task = tasks[0]
+        symbols = batches[task.task_id][0].symbols
+        tracer = spans.Tracer()
+        undo = spans.install(tracer)
+        try:
+            objective.mmi_gradient(batches, tasks, em)
+            objective.forward_logprob(task.den_graph, em, task.task_id, symbols)
+        finally:
+            spans.uninstall(undo)
+        occupancy = sum(
+            2 * len(graph.arcs) * len(utt.symbols)
+            for t in tasks
+            for utt in batches[t.task_id]
+            for graph in (t.den_graph, t.numerator_graph(utt.words))
+        )
+        counts = tracer.counts[0]
+        assert counts["mmi.objective.arc_frames"] == occupancy + len(task.den_graph.arcs) * len(symbols)
+        assert counts["mmi.objective.nopath"] == 0
 
     def test_program_bug_is_not_reported_as_a_data_error(self, tmp_path, monkeypatch):
         def broken(path):

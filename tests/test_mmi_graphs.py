@@ -3,7 +3,6 @@ import math
 import pytest
 
 from atckit.mmi import (
-    Arc,
     HmmGraph,
     OovWord,
     build_denominator,
@@ -12,6 +11,12 @@ from atckit.mmi import (
 )
 
 LEX = {"ab": (0, 1), "ba": (1, 0)}
+INF = math.inf
+
+
+def rows(graph):
+    """The graph's arcs as (src, dst, phone, weight) tuples, in arc order."""
+    return graph.arcs.tolist()
 
 
 class TestNumerator:
@@ -19,22 +24,22 @@ class TestNumerator:
         g = build_numerator(["ab"], LEX)
         assert g.n_states == 3
         assert g.start == 0
-        assert dict(g.finals) == {2: 0.0}
-        forward = {(a.src, a.dst): a.phone for a in g.arcs if a.src != a.dst}
-        loops = {a.src: a.phone for a in g.arcs if a.src == a.dst}
+        assert g.finals.tolist() == [-INF, -INF, 0.0]
+        forward = {(s, d): p for s, d, p, _ in rows(g) if s != d}
+        loops = {s: p for s, d, p, _ in rows(g) if s == d}
         assert forward == {(0, 1): 0, (1, 2): 1}
         assert loops == {1: 0, 2: 1}
-        assert all(a.weight == 0.0 for a in g.arcs)
+        assert all(w == 0.0 for *_, w in rows(g))
 
     def test_empty_transcript_accepts_only_empty(self):
         g = build_numerator([], LEX)
         assert g.n_states == 1
-        assert g.arcs == ()
-        assert dict(g.finals) == {0: 0.0}
+        assert len(g.arcs) == 0
+        assert g.finals.tolist() == [0.0]
 
     def test_two_word_concatenation(self):
         g = build_numerator(["ab", "ba"], LEX)
-        chain = [a.phone for a in sorted(g.arcs, key=lambda a: (a.src, a.dst)) if a.src != a.dst]
+        chain = [p for s, d, p, _ in sorted(rows(g)) if s != d]
         assert chain == [0, 1, 1, 0]
         assert g.n_states == 5
 
@@ -47,12 +52,12 @@ class TestDenominator:
     def test_uniform_counts_give_uniform_bigrams(self):
         counts = {(p, q): 5 for p in (0, 1) for q in (0, 1)}
         g = build_denominator([0, 1], counts)
-        for arc in g.arcs:
-            assert arc.weight == pytest.approx(math.log(0.5))
+        for *_, weight in rows(g):
+            assert weight == pytest.approx(math.log(0.5))
 
     def test_add_one_smoothing(self):
         g = build_denominator([0, 1], {(0, 1): 3, (0, 0): 1})
-        w = {(a.src, a.dst): a.weight for a in g.arcs}
+        w = {(s, d): weight for s, d, _, weight in rows(g)}
         # state 1 is "just emitted phone 0", state 2 is phone 1
         assert w[(1, 2)] == pytest.approx(math.log(4 / 6))
         assert w[(1, 1)] == pytest.approx(math.log(2 / 6))
@@ -61,35 +66,86 @@ class TestDenominator:
 
     def test_every_phone_state_is_final_and_start_is_not(self):
         g = build_denominator([0, 1, 2], {})
-        assert dict(g.finals) == {1: 0.0, 2: 0.0, 3: 0.0}
+        assert g.finals.tolist() == [-INF, 0.0, 0.0, 0.0]
         assert g.start == 0
 
     def test_empty_phone_set_rejected(self):
         with pytest.raises(ValueError):
             build_denominator([], {})
 
+    def test_repeated_phone_rejected(self):
+        with pytest.raises(ValueError):
+            build_denominator([0, 1, 0], {})
+
+
+class TestArcOrder:
+    # the forward sums and the occupancy bincount add arcs in this order,
+    # so training output is byte-identical only while it holds
+    def test_numerator_forward_arc_then_its_self_loop(self):
+        assert rows(build_numerator(["ab", "ba"], LEX)) == [
+            (0, 1, 0, 0.0), (1, 1, 0, 0.0),
+            (1, 2, 1, 0.0), (2, 2, 1, 0.0),
+            (2, 3, 1, 0.0), (3, 3, 1, 0.0),
+            (3, 4, 0, 0.0), (4, 4, 0, 0.0),
+        ]
+
+    def test_denominator_entry_arcs_then_bigram_rows(self):
+        # phone labels 5 and 7 live in states 1 and 2; weights are exact math.log values
+        assert rows(build_denominator([5, 7], {(5, 7): 3, (7, 7): 1})) == [
+            (0, 1, 5, -math.log(2)), (0, 2, 7, -math.log(2)),
+            (1, 1, 5, math.log(1 / 5)), (1, 2, 7, math.log(4 / 5)),
+            (2, 1, 5, math.log(1 / 3)), (2, 2, 7, math.log(2 / 3)),
+        ]
+
 
 class TestGraphValidation:
     def test_requires_path_to_final(self):
         with pytest.raises(ValueError):
-            HmmGraph(n_states=2, arcs=(), start=0, finals=((1, 0.0),))
+            HmmGraph(n_states=2, arcs=[], start=0, finals=[-INF, 0.0])
 
     def test_requires_finite_weights(self):
         with pytest.raises(ValueError):
-            HmmGraph(
-                n_states=2,
-                arcs=(Arc(0, 1, 0, float("-inf")),),
-                start=0,
-                finals=((1, 0.0),),
-            )
+            HmmGraph(n_states=2, arcs=[(0, 1, 0, -INF)], start=0, finals=[-INF, 0.0])
 
     def test_requires_states_in_range(self):
         with pytest.raises(ValueError):
-            HmmGraph(n_states=1, arcs=(Arc(0, 3, 0, 0.0),), start=0, finals=((0, 0.0),))
+            HmmGraph(n_states=1, arcs=[(0, 3, 0, 0.0)], start=0, finals=[0.0])
 
     def test_start_may_be_final(self):
-        g = HmmGraph(n_states=1, arcs=(), start=0, finals=((0, 0.0),))
+        g = HmmGraph(n_states=1, arcs=[], start=0, finals=[0.0])
         assert g.n_states == 1
+
+    def test_accepts_the_base_case(self):
+        # every rejected case below differs from this graph in one place
+        g = HmmGraph(n_states=2, arcs=[(0, 1, 0, 0.0)], start=0, finals=[-INF, 0.0])
+        assert len(g.arcs) == 1
+
+    @pytest.mark.parametrize(
+        "n_states, arcs, finals, message",
+        [
+            pytest.param(2, [(0, 1, 0, 0.0)], [math.nan, 0.0], "NaN or", id="nan_final"),
+            pytest.param(2, [(0, 1, 0, 0.0)], [INF, 0.0], "NaN or", id="plus_inf_final"),
+            pytest.param(2, [(0, 1, 0, 0.0)], [-INF, 0.0, 0.0], "shape", id="finals_wrong_length"),
+            pytest.param(2, [(0, 1, 0, 0.0)], [-INF, -INF], "no final", id="no_final_state"),
+            pytest.param(2, [(0, 1, -1, 0.0)], [-INF, 0.0], "negative phone", id="negative_phone"),
+            pytest.param(2, [(0, 2, 0, 0.0)], [-INF, 0.0], "out of range", id="dst_out_of_range"),
+            pytest.param(2, [(1, 0, 0, 0.0)], [-INF, 0.0], "no path", id="unreachable_final"),
+            pytest.param(2, [[0, 1, 0, 0.0]], [-INF, 0.0], "one .* record per arc", id="arc_as_a_list"),
+            pytest.param(
+                4, [(0, 1, 0, 0.0), (1, 0, 0, 0.0), (2, 3, 0, 0.0)], [-INF, -INF, -INF, 0.0], "no path",
+                id="unreachable_final_past_a_cycle",
+            ),
+        ],
+    )
+    def test_rejects(self, n_states, arcs, finals, message):
+        with pytest.raises(ValueError, match=message):
+            HmmGraph(n_states=n_states, arcs=arcs, start=0, finals=finals)
+
+    def test_reaches_final_whatever_the_arc_order(self):
+        # a chain 0 -> 1 -> 2 -> 3 listed backwards, with a cycle on the way
+        arcs = [(2, 3, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 0, 0.0), (1, 0, 0, 0.0), (0, 1, 0, 0.0)]
+        g = HmmGraph(n_states=4, arcs=arcs, start=0, finals=[-INF, -INF, -INF, 0.0])
+        assert len(g.arcs) == 5
 
 
 def test_phone_bigram_counts():

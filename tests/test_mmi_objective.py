@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from atckit.mmi import (
-    Arc,
     EmissionModel,
     HmmGraph,
     MmiTask,
@@ -115,7 +114,8 @@ class TestOccupancy:
             for utt in batches[task.task_id]:
                 for graph in (task.den_graph, task.numerator_graph(utt.words)):
                     occ, total = emission_occupancy(graph, lp, utt.symbols)
-                    src, dst, phone, weight = graph.arc_arrays
+                    arcs = graph.arcs
+                    src, dst, phone, weight = arcs["src"], arcs["dst"], arcs["phone"], arcs["weight"]
                     alphas, _ = _forward(graph, lp, utt.symbols)
                     betas = _backward_betas(graph, lp, utt.symbols)
                     expected = np.zeros(lp.shape)
@@ -125,13 +125,13 @@ class TestOccupancy:
                     np.testing.assert_array_equal(occ, expected)
 
     def test_zero_frames(self):
-        arcs = (Arc(src=0, dst=1, phone=0, weight=-0.5), Arc(src=1, dst=0, phone=1, weight=-0.2))
+        arcs = [(0, 1, 0, -0.5), (1, 0, 1, -0.2)]  # (src, dst, phone, weight)
         lp = uniform_model(2, 3).log_probs(0)
-        start_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=((0, -0.3),))
+        start_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=[-0.3, -math.inf])
         occ, total = emission_occupancy(start_final, lp, ())
         assert total == -0.3
         assert occ.shape == lp.shape and not occ.any()
-        start_not_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=((1, -0.3),))
+        start_not_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=[-math.inf, -0.3])
         with pytest.raises(NoPath):
             emission_occupancy(start_not_final, lp, ())
 
@@ -147,7 +147,7 @@ class TestObjective:
     def test_numerator_paths_subset_of_denominator_is_nonpositive(self):
         # denominator: the same chain plus an extra escape arc, all weights log 1
         num = build_numerator(["ab"], LEX)
-        arcs = num.arcs + (Arc(src=0, dst=2, phone=1, weight=0.0),)
+        arcs = num.arcs.tolist() + [(0, 2, 1, 0.0)]
         den = HmmGraph(n_states=num.n_states, arcs=arcs, start=0, finals=num.finals)
         task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0, lm_logprob=zero_lm)
         em = uniform_model(2, 2)
