@@ -252,6 +252,7 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
             "initial_objective": result.initial_objective,
             "final_objective": result.final_objective,
             "trace": result.objective_trace,
+            "grad_max_abs": result.grad_max_abs,
         })
         arrays[shared_name] = result.model.shared
         arrays.update({name: result.model.bias[tid] for tid, name in bias_names.items()})

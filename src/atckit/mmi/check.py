@@ -18,8 +18,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import HmmGraph, build_denominator, phone_bigram_counts
-from .model import EmissionModel, MmiTask, TrainingUtterance, zero_lm
-from .objective import NoPath, forward_logprob, mmi_gradient, mmi_objective, multitask_objective
+from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax, zero_lm
+from .objective import (
+    NoPath,
+    _forward_backward,
+    emission_occupancy,
+    forward_logprob,
+    mmi_gradient,
+    mmi_objective,
+    multitask_objective,
+)
 
 
 @dataclass
@@ -260,9 +268,64 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
     return CheckResult("single_task_reduction", True, f"{instances} instances, bit-identical")
 
 
+def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: float = 1e-12) -> CheckResult:
+    """The batched forward-backward that training runs agrees with the
+    arc-generic forward and occupancy, sequence by sequence.
+
+    Each instance runs four batches: random arc-emitting graphs, whose
+    states the batched pass must split by entering phone, one per sequence
+    and one shared; and a random task's denominator and numerators. Totals
+    are compared relative to max(1, |total|), the batch's summed occupancy
+    relative to max(1, its largest entry); a sequence the generic forward
+    rejects must get total -inf.
+    """
+    worst = 0.0
+    for _ in range(instances):
+        n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
+        logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
+        graphs = [random_graph(rng, rng.randint(1, 4), n_phones) for _ in range(3)]
+        seqs = [tuple(rng.randrange(n_symbols) for _ in range(rng.randint(0, 5))) for _ in graphs]
+        lp = log_softmax(logits)
+        tasks, batches, em = random_instance(rng, n_tasks=1)
+        task = tasks[0]
+        utts = batches[task.task_id]
+        task_seqs = [u.symbols for u in utts]
+        task_lp = em.log_probs(task.task_id)
+        for batch_graphs, em_logprobs, symbols in (
+            (graphs, lp, seqs),
+            (graphs[:1], lp, seqs),
+            ([task.den_graph], task_lp, task_seqs),
+            ([task.numerator_graph(u.words) for u in utts], task_lp, task_seqs),
+        ):
+            totals, occupancy = _forward_backward(batch_graphs, em_logprobs, symbols, occupancy=True)
+            expected = np.zeros(em_logprobs.shape)
+            for i, seq in enumerate(symbols):
+                try:
+                    occ, total = emission_occupancy(batch_graphs[i % len(batch_graphs)], em_logprobs, seq)
+                except NoPath:
+                    if totals[i] != -np.inf:
+                        return CheckResult(
+                            "batched_vs_generic", False, f"batched total {float(totals[i])!r} where no path accepts"
+                        )
+                    continue
+                expected += occ
+                err = abs(totals[i] - total) / max(1.0, abs(total))
+                worst = max(worst, err)
+                if not err <= tolerance:
+                    return CheckResult(
+                        "batched_vs_generic", False, f"batched total {float(totals[i])!r} vs generic {total!r}"
+                    )
+            err = float(np.abs(occupancy - expected).max()) / max(1.0, float(expected.max()))
+            worst = max(worst, err)
+            if not err <= tolerance:
+                return CheckResult("batched_vs_generic", False, f"occupancy relative error {err:.3e}")
+    return CheckResult("batched_vs_generic", True, f"{instances} instances, worst relative error {worst:.3e}")
+
+
 ENUM_INSTANCES = 80
 FD_INSTANCES = 30
 ZERO_INSTANCES = 10  # each for the matched-graphs and the single-task check
+BATCHED_INSTANCES = 40
 
 
 def run_verification(seed: int = 12345) -> list[CheckResult]:
@@ -273,4 +336,5 @@ def run_verification(seed: int = 12345) -> list[CheckResult]:
         check_gradient_fd(rng, FD_INSTANCES),
         check_matched_graphs_zero(rng, ZERO_INSTANCES),
         check_single_task_reduction(rng, ZERO_INSTANCES),
+        check_batched_vs_generic(rng, BATCHED_INSTANCES),
     ]

@@ -38,6 +38,8 @@ class TrainResult:
     model: EmissionModel
     # trace[0] is the objective at initialization, trace[k] after k updates
     objective_trace: list[float] = field(default_factory=list)
+    # grad_max_abs[k] is the largest |entry| of the gradient applied in update k + 1
+    grad_max_abs: list[float] = field(default_factory=list)
 
     @property
     def initial_objective(self) -> float:
@@ -60,7 +62,8 @@ def toy_train(
 
     The trace holds the objective at initialization and after every
     update; with a small enough learning rate on fixed batches it is
-    non-decreasing. Each step takes its trace point and its gradient from
+    non-decreasing. The result also keeps each applied gradient's largest
+    absolute entry. Each step takes its trace point and its gradient from
     one mmi_gradient pass; only the point after the last update comes
     from the forward-only multitask_objective. DIVERGENCE_PATIENCE
     consecutive decreases, or any objective that is not finite, abort with
@@ -72,6 +75,7 @@ def toy_train(
             raise ValueError(f"task {task.task_id} has no training utterances")
     model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
     trace: list[float] = []
+    grad_max_abs: list[float] = []
     drops = 0
     for step in range(steps + 1):
         if step:
@@ -80,6 +84,7 @@ def toy_train(
                 model.bias[tid] += learning_rate * grad.bias[tid]
         if step < steps:
             grad, objective = mmi_gradient(corpus, tasks, model)
+            grad_max_abs.append(grad.max_abs())
         else:
             objective = multitask_objective(corpus, tasks, model)
         if not math.isfinite(objective):
@@ -95,7 +100,7 @@ def toy_train(
                 f"objective fell for {drops} consecutive steps "
                 f"(last {trace[-1]:.6f}); lower the learning rate"
             )
-    return TrainResult(model=model, objective_trace=trace)
+    return TrainResult(model=model, objective_trace=trace, grad_max_abs=grad_max_abs)
 
 
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:

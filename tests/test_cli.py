@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -473,6 +474,7 @@ class TestMmiCli:
             "gradient_vs_finite_differences",
             "matched_graphs_zero",
             "single_task_reduction",
+            "batched_vs_generic",
         }
 
     def write_training_files(self, tmp_path):
@@ -550,6 +552,21 @@ class TestMmiCli:
             assert set(arrays.files) == keys
             assert all(arrays[k].shape == (2, 2) for k in keys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.tsv", "model.npz", "train.jsonl"]
+
+    @pytest.mark.parametrize("mode", ["single", "pooled", "multitask"])
+    def test_train_records_gradient_size_per_step(self, tmp_path, capsys, mode):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        code, manifest, _ = run_cli(
+            capsys,
+            ["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", "2",
+             "--mode", mode, "--steps", "4", "--learning-rate", "0.05"],
+        )
+        assert code == 0
+        for run in manifest["result"]["runs"]:
+            assert len(run["grad_max_abs"]) == 4
+            assert all(0.0 <= v < math.inf for v in run["grad_max_abs"])
+            if mode == "multitask":
+                assert all(v > 0.0 for v in run["grad_max_abs"])
 
     def run_train(self, capsys, corpus, lexicon, *extra, n_symbols="3"):
         return run_cli(
@@ -735,19 +752,21 @@ class TestHarness:
         tasks, batches, em = random_instance(random.Random(5), n_tasks=2)
         task = tasks[0]
         symbols = batches[task.task_id][0].symbols
-        tracer = spans.Tracer()
-        undo = spans.install(tracer)
-        try:
-            objective.mmi_gradient(batches, tasks, em)
-            objective.forward_logprob(task.den_graph, em, task.task_id, symbols)
-        finally:
-            spans.uninstall(undo)
-        occupancy = sum(
-            2 * len(graph.arcs) * len(utt.symbols)
+        graphs = [
+            (t, utt, graph)
             for t in tasks
             for utt in batches[t.task_id]
             for graph in (t.den_graph, t.numerator_graph(utt.words))
-        )
+        ]
+        tracer = spans.Tracer()
+        undo = spans.install(tracer)
+        try:
+            for t, utt, graph in graphs:
+                objective.emission_occupancy(graph, em.log_probs(t.task_id), utt.symbols)
+            objective.forward_logprob(task.den_graph, em, task.task_id, symbols)
+        finally:
+            spans.uninstall(undo)
+        occupancy = sum(2 * len(graph.arcs) * len(utt.symbols) for _, utt, graph in graphs)
         counts = tracer.counts[0]
         assert counts["mmi.objective.arc_frames"] == occupancy + len(task.den_graph.arcs) * len(symbols)
         assert counts["mmi.objective.nopath"] == 0

@@ -20,7 +20,7 @@ from atckit.mmi import (
     zero_lm,
 )
 from atckit.mmi.check import random_graph, random_instance
-from atckit.mmi.objective import _backward_betas, _forward
+from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
 
@@ -311,6 +311,77 @@ class TestGradient:
         np.testing.assert_array_equal(g1.shared, g2.shared)
         for tid in g1.bias:
             np.testing.assert_array_equal(g1.bias[tid], g2.bias[tid])
+
+
+class TestBatchedPass:
+    def test_underflowing_linear_sum_is_recomputed(self):
+        # chain over phones 0, 1, 2 on three frames of symbol 0: the second
+        # and third frames each cost e^-1000, so the max-shifted linear sum
+        # feeding the last state underflows to 0 while the exact total is -2000
+        logits = np.array([[0.0, -1000.0], [-1000.0, 0.0], [-1000.0, 0.0]])
+        em = EmissionModel(shared=logits, bias={0: np.zeros((3, 2))})
+        np.testing.assert_array_equal(em.log_probs(0), logits)
+        task = MmiTask(
+            0, ("p0", "p1", "p2"), {"w": (0, 1, 2)}, build_denominator(range(3), {}),
+            alpha=1.0, lm_logprob=zero_lm,
+        )
+        utt = TrainingUtterance(0, (0, 0, 0), ("w",))
+        num = forward_logprob(task.numerator_graph(utt.words), em, 0, utt.symbols)
+        assert num == pytest.approx(-2000.0, rel=1e-15)
+        expected = num - forward_logprob(task.den_graph, em, 0, utt.symbols)
+        value = mmi_objective([utt], task, em)
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-12)
+        _, objective = mmi_gradient({0: [utt]}, [task], em)
+        assert objective == value
+
+    def test_state_entered_by_two_phones_matches_generic(self):
+        # state 1 is entered by phone 0 (from 0 and its self-loop) and by
+        # phone 1 (from 2); state 2 by phone 1 (from 0 and 1) and by phone 0
+        # (its self-loop); the batched pass splits each in two
+        arcs = [(0, 1, 0, -0.3), (0, 2, 1, -1.2), (1, 2, 1, -0.7), (2, 1, 1, -0.4), (1, 1, 0, -0.9), (2, 2, 0, -0.2)]
+        den = HmmGraph(n_states=3, arcs=arcs, start=0, finals=[-math.inf, 0.0, -0.5])
+        assert _state_form([den])[0].shape == (1, 5, 5)
+        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0, lm_logprob=zero_lm)
+        rng = random.Random(75)
+        em = EmissionModel(
+            shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]),
+            bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])},
+        )
+        batch = [
+            TrainingUtterance(0, (0, 1, 2), ("ab",)),
+            TrainingUtterance(0, (2, 0, 0, 1, 1), ("ba",)),
+            TrainingUtterance(0, (1, 0), ("ab",)),
+        ]
+        grad, objective = mmi_gradient({0: batch}, [task], em)
+        lp = em.log_probs(0)
+        expected, diff = 0.0, np.zeros(lp.shape)
+        for utt in batch:
+            occ_den, den_total = emission_occupancy(den, lp, utt.symbols)
+            occ_num, num_total = emission_occupancy(task.numerator_graph(utt.words), lp, utt.symbols)
+            expected += num_total - den_total
+            diff += occ_num - occ_den
+        g = diff - np.exp(lp) * diff.sum(axis=1, keepdims=True)
+        assert objective == pytest.approx(expected, rel=1e-12)
+        assert mmi_objective(batch, task, em) == objective
+        for got in (grad.shared, grad.bias[0]):
+            np.testing.assert_allclose(got, g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+    def test_arc_weights_beyond_exp_range_match_generic(self):
+        # exp(800) overflows and exp(-800) underflows; the batched pass
+        # shifts each graph's weights by their max, and the guard recovers
+        # the arcs whose shifted weight underflows
+        arcs = [(0, 1, 0, 800.0), (1, 1, 1, 790.0), (1, 2, 0, -800.0), (2, 2, 1, 795.0), (0, 2, 1, 0.0)]
+        graph = HmmGraph(n_states=3, arcs=arcs, start=0, finals=[-math.inf, 0.0, -2.0])
+        lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
+        seqs = [(0,), (0, 1, 1), (1, 0, 1, 0)]
+        totals, occ = _forward_backward([graph], lp, seqs, occupancy=True)
+        expected = np.zeros(lp.shape)
+        for total, seq in zip(totals, seqs):
+            ref_occ, ref_total = emission_occupancy(graph, lp, seq)
+            assert total == pytest.approx(ref_total, rel=1e-12)
+            expected += ref_occ
+        np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
 
 
 def test_emission_rows_normalized_to_machine_precision():
