@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -21,10 +22,10 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-import numpy as np
-
+from . import __version__
 from .callsign import (
     MalformedCallsign,
+    VariantKind,
     default_telephony_lexicon,
     expand_callsign,
     load_telephony_lexicon,
@@ -34,24 +35,43 @@ from .classifier import FiredRule, classify_corpus, default_role_lexicon, load_r
 from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, parse_role, read_corpus, tokenize
 from .evaluation import EmptyReference, accumulate, rates, wer_corpus
 from .matcher import filter_corpus
-from .mmi import (
-    DivergenceDetected,
-    NoPath,
-    OovWord,
-    build_tasks,
-    load_phone_lexicon,
-    load_training_corpus,
-    pool_corpus,
-    toy_train,
-)
-from .mmi.check import run_verification
-from .mmi.train import DEFAULT_TASK_WEIGHT, POOLED_TASK_ID
+from .mmi_base import DEFAULT_TASK_WEIGHT, DivergenceDetected, NoPath, OovWord
 
 # bad input, never a program bug: each of these maps to exit code 1
 _DATA_ERRORS = (
     MalformedCallsign, CorpusFormatError, EmptyReference, OovWord, NoPath, DivergenceDetected,
     OSError, UnicodeDecodeError,
 )
+
+# The MMI engine imports numpy, about half of a text subcommand's start-up,
+# so the engine's names are bound into this module only on first use: by
+# the MMI handlers, or by an attribute lookup on the module (PEP 562).
+_MMI_NAMES = {
+    "run_verification": ".mmi.check",
+    "build_tasks": ".mmi.train",
+    "load_phone_lexicon": ".mmi.train",
+    "load_training_corpus": ".mmi.train",
+    "pool_corpus": ".mmi.train",
+    "toy_train": ".mmi.train",
+    "POOLED_TASK_ID": ".mmi.train",
+}
+
+
+def _mmi(*names: str) -> list:
+    """The named MMI engine objects as bound on this module, importing each
+    on first use; a binding made before, such as a tracer's wrapper, stays."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            bound[name] = getattr(importlib.import_module(_MMI_NAMES[name], __package__), name)
+    return [bound[name] for name in names]
+
+
+def __getattr__(name: str):
+    if name not in _MMI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _mmi(name)[0]
+
 
 def _config_hash(args: argparse.Namespace) -> str:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler"}
@@ -159,6 +179,7 @@ def _cmd_classify(args, manifest: dict) -> int:
     paths = [Path(f"{args.out_prefix}.{name}.jsonl") for name in names]
     counts = {"atco": 0, "pilot": 0}
     rules = {rule.value: 0 for rule in FiredRule}
+    evidence_by_kind = {kind.value: 0 for kind in VariantKind}  # callsign_early decisions per variant kind
     low_confidence = 0
     stream = classify_corpus(
         read_corpus(args.corpus),
@@ -174,6 +195,8 @@ def _cmd_classify(args, manifest: dict) -> int:
         for utt, label, trace in stream:
             counts[label.value] += 1
             rules[trace.fired_rule.value] += 1
+            if trace.fired_rule is FiredRule.CALLSIGN_EARLY:
+                evidence_by_kind[trace.evidence.variant.kind.value] += 1
             low_confidence += trace.low_confidence
             halves[label.value].write(json.dumps(utt.to_json()) + "\n")
             traces.write(json.dumps({"id": utt.id, "role": label.value, **trace.to_json()}) + "\n")
@@ -183,6 +206,7 @@ def _cmd_classify(args, manifest: dict) -> int:
     manifest["result"] = {
         "counts": {**counts, "total": counts["atco"] + counts["pilot"]},
         "rules": rules,
+        "evidence_by_kind": evidence_by_kind,
         "low_confidence": low_confidence,
     }
     return 0
@@ -220,6 +244,7 @@ def _cmd_wer(args, manifest: dict) -> int:
 
 
 def _cmd_mmi_check(args, manifest: dict) -> int:
+    (run_verification,) = _mmi("run_verification")
     checks = run_verification(seed=args.seed)
     all_passed = all(c.passed for c in checks)
     manifest["result"] = {"checks": [c.to_json() for c in checks], "all_passed": all_passed}
@@ -227,6 +252,11 @@ def _cmd_mmi_check(args, manifest: dict) -> int:
 
 
 def _cmd_mmi_train(args, manifest: dict) -> int:
+    import numpy as np
+
+    build_tasks, load_phone_lexicon, load_training_corpus, pool_corpus, toy_train, pooled_id = _mmi(
+        "build_tasks", "load_phone_lexicon", "load_training_corpus", "pool_corpus", "toy_train", "POOLED_TASK_ID"
+    )
     corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols)
     if not corpus:
         raise CorpusFormatError(f"{args.corpus}: no training utterances")
@@ -235,7 +265,7 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
     if args.mode == "multitask":
         plan = [(corpus, args.alpha, "shared", {tid: f"bias_{tid}" for tid in sorted(corpus)})]
     elif args.mode == "pooled":
-        plan = [(pool_corpus(corpus), 1.0, "shared", {POOLED_TASK_ID: f"bias_{POOLED_TASK_ID}"})]
+        plan = [(pool_corpus(corpus), 1.0, "shared", {pooled_id: f"bias_{pooled_id}"})]
     else:  # single: one independent model per task
         plan = [
             ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})
@@ -349,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "outputs": {},
         "config_hash": _config_hash(args),
+        "version": __version__,
     }
     try:
         code = args.handler(args, manifest)

@@ -26,11 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..mmi_base import OovWord
+
 ARC_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("phone", np.int64), ("weight", np.float64)])
-
-
-class OovWord(KeyError):
-    """Raised when a transcript word is missing from the phone lexicon."""
 
 
 @dataclass(frozen=True, eq=False)

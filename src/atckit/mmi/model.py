@@ -14,9 +14,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..mmi_base import DEFAULT_TASK_WEIGHT
 from .graphs import HmmGraph, build_numerator
-
-DEFAULT_TASK_WEIGHT = 0.5  # a task's alpha unless the caller gives one
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..mmi_base import NoPath
 from .graphs import ARC_DTYPE, HmmGraph
 from .model import EmissionModel, MmiTask, TrainingUtterance
 
@@ -48,10 +49,6 @@ logger = logging.getLogger(__name__)
 # (doubles go subnormal at 2.2e-308), so the entry is recomputed in log space.
 _TINY = 1e-280
 _LOWEST = np.finfo(np.float64).min
-
-
-class NoPath(ArithmeticError):
-    """Raised when a graph accepts no path of the requested length."""
 
 
 def _forward(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:

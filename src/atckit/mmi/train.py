@@ -20,17 +20,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
+from ..mmi_base import DivergenceDetected
 from .graphs import OovWord, build_denominator, phone_bigram_counts
 from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance, zero_lm
 from .objective import mmi_gradient, multitask_objective
 
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
 DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
-
-
-class DivergenceDetected(RuntimeError):
-    """Raised when the objective keeps falling or stops being finite."""
 
 
 @dataclass
@@ -67,7 +66,9 @@ def toy_train(
     one mmi_gradient pass; only the point after the last update comes
     from the forward-only multitask_objective. DIVERGENCE_PATIENCE
     consecutive decreases, or any objective that is not finite, abort with
-    DivergenceDetected.
+    DivergenceDetected. A non-finite gradient is applied and makes the next
+    objective non-finite, so numpy's overflow and invalid-value warnings on
+    the way would only repeat that error and are silenced.
     """
     tasks = list(tasks)
     for task in tasks:
@@ -77,29 +78,30 @@ def toy_train(
     trace: list[float] = []
     grad_max_abs: list[float] = []
     drops = 0
-    for step in range(steps + 1):
-        if step:
-            model.shared += learning_rate * grad.shared
-            for tid in model.bias:
-                model.bias[tid] += learning_rate * grad.bias[tid]
-        if step < steps:
-            grad, objective = mmi_gradient(corpus, tasks, model)
-            grad_max_abs.append(grad.max_abs())
-        else:
-            objective = multitask_objective(corpus, tasks, model)
-        if not math.isfinite(objective):
-            # before the first update only the data can be at fault
-            cause = "a transcript needs more frames than its utterance has"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
             if step:
-                cause = "the learning rate is too large, or " + cause
-            raise DivergenceDetected(f"objective is {objective} after {step} steps: {cause}")
-        drops = drops + 1 if trace and objective < trace[-1] else 0
-        trace.append(objective)
-        if drops >= DIVERGENCE_PATIENCE:
-            raise DivergenceDetected(
-                f"objective fell for {drops} consecutive steps "
-                f"(last {trace[-1]:.6f}); lower the learning rate"
-            )
+                model.shared += learning_rate * grad.shared
+                for tid in model.bias:
+                    model.bias[tid] += learning_rate * grad.bias[tid]
+            if step < steps:
+                grad, objective = mmi_gradient(corpus, tasks, model)
+                grad_max_abs.append(grad.max_abs())
+            else:
+                objective = multitask_objective(corpus, tasks, model)
+            if not math.isfinite(objective):
+                # before the first update only the data can be at fault
+                cause = "a transcript needs more frames than its utterance has"
+                if step:
+                    cause = "the learning rate is too large, or " + cause
+                raise DivergenceDetected(f"objective is {objective} after {step} steps: {cause}")
+            drops = drops + 1 if trace and objective < trace[-1] else 0
+            trace.append(objective)
+            if drops >= DIVERGENCE_PATIENCE:
+                raise DivergenceDetected(
+                    f"objective fell for {drops} consecutive steps "
+                    f"(last {trace[-1]:.6f}); lower the learning rate"
+                )
     return TrainResult(model=model, objective_trace=trace, grad_max_abs=grad_max_abs)
 
 

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import atckit
 from atckit import classifier, cli
 from atckit.cli import main
 from atckit.callsign import VariantKind, expand_callsign, parse_callsign
@@ -46,6 +49,12 @@ def perfbench_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def run_fresh(args):
+    """``python args...`` in a new interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 def run_cli(capsys, argv):
@@ -299,6 +308,16 @@ class TestOutputPins:
         assert result["low_confidence"] == sum(t["low_confidence"] for t in traces) > 0
         assert run_cli(capsys, argv)[2] == printed
 
+    def test_classify_manifest_counts_callsign_evidence_by_kind(self, tmp_path, capsys, corpus_file):
+        prefix = str(tmp_path / "split")
+        code, manifest, _ = run_cli(capsys, ["classify", "--corpus", str(corpus_file), "--out-prefix", prefix])
+        assert code == 0
+        traces = [json.loads(line) for line in Path(prefix + ".traces.jsonl").read_text().splitlines()]
+        kinds = Counter(t["evidence"]["variant_kind"] for t in traces if t["rule"] == "callsign_early")
+        by_kind = manifest["result"]["evidence_by_kind"]
+        assert by_kind == {kind.value: kinds[kind.value] for kind in VariantKind}
+        assert sum(by_kind.values()) == manifest["result"]["rules"]["callsign_early"] > 0
+
     @pytest.mark.parametrize("icao", [False, True], ids=["plain", "icao"])
     def test_filter_kept_file(self, tmp_path, capsys, corpus_file, icao):
         out = tmp_path / "kept.jsonl"
@@ -459,6 +478,18 @@ SINGLE_TRACE = [
 ]
 
 
+# with "--n-symbols 3 --learning-rate 1e308" one step overflows the logits
+DIVERGENT_RECORDS = [
+    json.dumps(r)
+    for r in (
+        {"task": 1, "symbols": [0, 1, 2], "words": ["ba"]},
+        {"task": 1, "symbols": [1, 1, 1], "words": ["ba"]},
+        {"task": 2, "symbols": [0, 1, 0, 0], "words": ["ab"]},
+        {"task": 2, "symbols": [2, 2, 0, 1], "words": ["ba"]},
+    )
+]
+
+
 class TestMmiCli:
     def test_check_passes_and_reports_each_check(self, capsys):
         code, manifest, _ = run_cli(
@@ -477,7 +508,8 @@ class TestMmiCli:
             "batched_vs_generic",
         }
 
-    def write_training_files(self, tmp_path):
+    @staticmethod
+    def write_training_files(tmp_path):
         corpus = tmp_path / "train.jsonl"
         lexicon = tmp_path / "lexicon.tsv"
         records = [
@@ -608,15 +640,12 @@ class TestMmiCli:
 
     def test_divergent_training_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
-        records = [
-            {"task": 1, "symbols": [0, 1, 2], "words": ["ba"]},
-            {"task": 1, "symbols": [1, 1, 1], "words": ["ba"]},
-            {"task": 2, "symbols": [0, 1, 0, 0], "words": ["ab"]},
-            {"task": 2, "symbols": [2, 2, 0, 1], "words": ["ba"]},
-        ]
-        write_lines(corpus, [json.dumps(r) for r in records])
-        # one huge step overflows the logits and the objective leaves the finite range
-        code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--learning-rate", "1e308")
+        write_lines(corpus, DIVERGENT_RECORDS)
+        # one huge step overflows the logits and the objective leaves the finite
+        # range; the error says so, numpy's floating-point warnings must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--learning-rate", "1e308")
         assert code == 1
         assert manifest["error"] == "DivergenceDetected"
         assert "result" not in manifest
@@ -677,6 +706,21 @@ class TestMmiCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {option}: must be {wanted}" in err
 
+    def test_train_calls_toy_train_as_bound_on_the_module(self, tmp_path, capsys, monkeypatch):
+        # perfbench's tracer replaces cli.toy_train to record training spans
+        calls = []
+        original = cli.toy_train
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].keys())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "toy_train", counting)
+        corpus, lexicon = self.write_training_files(tmp_path)
+        code, _, _ = self.run_train(capsys, corpus, lexicon, "--mode", "single", n_symbols="2")
+        assert code == 0
+        assert [sorted(tasks) for tasks in calls] == [[1], [2]]
+
     def test_train_oov_word_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
         corpus.write_text('{"task": 1, "symbols": [0], "words": ["zz"]}\n', encoding="utf-8")
@@ -699,13 +743,7 @@ class TestHarness:
         assert excinfo.value.code == 2
 
     def test_module_entry_point(self):
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        proc = subprocess.run(
-            [sys.executable, "-m", "atckit", "expand", "--callsign", "TVS84J"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_fresh(["-m", "atckit", "expand", "--callsign", "TVS84J"])
         assert proc.returncode == 0
         manifest = json.loads(proc.stdout.splitlines()[0])
         assert manifest["subcommand"] == "expand"
@@ -779,6 +817,79 @@ class TestHarness:
         with pytest.raises(ValueError, match="a bug"):
             main(["filter", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")])
 
+    def test_manifest_names_the_package_version(self, capsys):
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        _, manifest, _ = run_cli(capsys, ["expand", "--callsign", "TVS84J"])
+        assert manifest["version"] == atckit.__version__ == declared
+
+
+# reports, after importing atckit.cli and after each cli.main(argv), which of
+# the lazily loaded modules are in sys.modules
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+from atckit import cli
+
+def loaded():
+    return [name for name in ("numpy", "atckit.mmi") if name in sys.modules]
+
+report = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([argv[0], code, loaded()])
+print(json.dumps(report))
+"""
+
+
+class TestFreshProcess:
+    """Runs in a new interpreter, where nothing has imported numpy or the MMI
+    engine yet; in this process pytest already has."""
+
+    def test_only_the_mmi_subcommands_load_numpy(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_lines(corpus, [
+            json.dumps({"id": "u1", "text": "skytravel eight four juliett climb", "callsigns": ["TVS84J"]}),
+            json.dumps({"id": "u2", "text": "wilco", "callsigns": ["TVS84J"]}),
+        ])
+        labels = tmp_path / "labels.jsonl"
+        write_lines(labels, [json.dumps({"id": "u1", "role": "atco"}), json.dumps({"id": "u2", "role": "pilot"})])
+        text = tmp_path / "text.txt"
+        write_lines(text, ["climb flight level one two zero"])
+        train_corpus, phones = TestMmiCli.write_training_files(tmp_path)
+        runs = [
+            ["expand", "--callsign", "TVS84J"],
+            ["filter", "--corpus", str(corpus), "--out", str(tmp_path / "kept.jsonl")],
+            ["classify", "--corpus", str(corpus), "--out-prefix", str(tmp_path / "split")],
+            ["evaluate", "--gold", str(labels), "--pred", str(labels)],
+            ["wer", "--ref", str(text), "--hyp", str(text)],
+            ["mmi-train", "--corpus", str(train_corpus), "--lexicon", str(phones), "--n-symbols", "2",
+             "--steps", "1"],
+        ]
+        proc = run_fresh(["-c", _LOADED_SCRIPT, json.dumps(runs)])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert [(name, code) for name, code, _ in report] == [("import", 0)] + [(argv[0], 0) for argv in runs]
+        assert [modules for _, _, modules in report] == [[]] * 6 + [["numpy", "atckit.mmi"]]
+
+    @pytest.mark.parametrize("case", ["oov", "divergent"])
+    def test_mmi_train_data_error_prints_one_manifest(self, tmp_path, case):
+        corpus, lexicon = TestMmiCli.write_training_files(tmp_path)
+        argv = ["-m", "atckit", "mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--steps", "3"]
+        if case == "oov":
+            write_lines(corpus, [json.dumps({"task": 1, "symbols": [0], "words": ["zz"]})])
+            argv += ["--n-symbols", "2"]
+            error = "OovWord"
+        else:
+            write_lines(corpus, DIVERGENT_RECORDS)
+            argv += ["--n-symbols", "3", "--learning-rate", "1e308"]
+            error = "DivergenceDetected"
+        proc = run_fresh(argv)
+        assert proc.returncode == 1
+        assert len(proc.stdout.splitlines()) == 1
+        assert strict_manifest(proc.stdout)["error"] == error
+        assert proc.stderr == ""
+
 
 # ----------------------------------------------------------- CLI contract
 
@@ -846,4 +957,5 @@ def test_any_input_gets_one_strict_manifest_and_a_known_exit_code(contract_dir, 
     assert code in (0, 1, 2)
     manifest = strict_manifest(out.getvalue())
     assert manifest["subcommand"] == command
+    assert manifest["version"] == atckit.__version__
     assert ("error" in manifest) == (code == 1)
