@@ -33,7 +33,6 @@ from .corpus import (
     Utterance,
     read_corpus,
     tokenize,
-    write_corpus,
 )
 from .evaluation import (
     ConfusionMatrix,

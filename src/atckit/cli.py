@@ -201,8 +201,12 @@ def _cmd_classify(args, manifest: dict) -> int:
             halves[label.value].write(json.dumps(utt.to_json()) + "\n")
             traces.write(json.dumps({"id": utt.id, "role": label.value, **trace.to_json()}) + "\n")
 
+    # the marker exists only while the three files come from one run
+    done = Path(f"{args.out_prefix}.done")
+    done.unlink(missing_ok=True)
     _write_atomic(paths, write)
-    manifest["outputs"] = {name: str(path) for name, path in zip(names, paths)}
+    done.touch()
+    manifest["outputs"] = {**{name: str(path) for name, path in zip(names, paths)}, "done": str(done)}
     manifest["result"] = {
         "counts": {**counts, "total": counts["atco"] + counts["pilot"]},
         "rules": rules,
@@ -386,15 +390,14 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         manifest["error"] = type(exc).__name__
         manifest["message"] = str(exc)
-        print(json.dumps(manifest, sort_keys=True, allow_nan=False))
+        code = 1
+    text = [line for key in ("table", "pretty") for line in manifest.pop(key, None) or ()]
+    try:
+        print("\n".join([json.dumps(manifest, sort_keys=True, allow_nan=False), *text]), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    table = manifest.pop("table", None)
-    pretty = manifest.pop("pretty", None)
-    print(json.dumps(manifest, sort_keys=True, allow_nan=False))
-    if table:
-        print("\n".join(table))
-    if pretty:
-        print("\n".join(pretty))
     return code
 
 

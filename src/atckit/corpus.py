@@ -21,7 +21,7 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 
 class CorpusFormatError(ValueError):
@@ -75,23 +75,6 @@ class Utterance:
         self.tokens = tuple(self.tokens)
         if self.context_callsigns is not None:
             self.context_callsigns = tuple(self.context_callsigns)
-
-    @classmethod
-    def from_text(
-        cls,
-        id: str,
-        text: str,
-        role: RoleLabel | str | None = None,
-        callsigns: Iterable[str] | None = None,
-    ) -> "Utterance":
-        if isinstance(role, str):
-            role = RoleLabel(role)
-        return cls(
-            id=id,
-            tokens=tokenize(text),
-            gold_role=role,
-            context_callsigns=tuple(callsigns) if callsigns is not None else None,
-        )
 
     @classmethod
     def from_json(cls, obj: dict) -> "Utterance":
@@ -159,13 +142,3 @@ def read_corpus(path: str | Path) -> Iterator[Utterance]:
     """Stream utterances from a JSONL corpus file."""
     with open(path, "r", encoding="utf-8") as stream:
         yield from iter_jsonl(stream, str(path), Utterance.from_json)
-
-
-def write_corpus(utterances: Iterable[Utterance], path: str | Path) -> int:
-    """Write utterances as JSONL; returns the number of records written."""
-    n = 0
-    with Path(path).open("w", encoding="utf-8") as stream:
-        for utt in utterances:
-            stream.write(json.dumps(utt.to_json()) + "\n")
-            n += 1
-    return n

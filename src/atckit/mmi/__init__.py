@@ -1,13 +1,7 @@
 """Desk-scale multitask MMI objective over discrete-emission HMM graphs."""
 
 from .graphs import ARC_DTYPE, HmmGraph, OovWord, build_denominator, build_numerator, phone_bigram_counts
-from .model import (
-    EmissionModel,
-    MmiTask,
-    TrainingUtterance,
-    log_softmax,
-    zero_lm,
-)
+from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax
 from .objective import (
     NoPath,
     emission_occupancy,
@@ -37,7 +31,6 @@ __all__ = [
     "MmiTask",
     "TrainingUtterance",
     "log_softmax",
-    "zero_lm",
     "NoPath",
     "emission_occupancy",
     "forward_logprob",

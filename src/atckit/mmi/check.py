@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import HmmGraph, build_denominator, phone_bigram_counts
-from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax, zero_lm
+from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax
 from .objective import (
     NoPath,
     _forward_backward,
@@ -63,7 +63,7 @@ def enumerate_logprob(
         for _, dst, phone, weight in arcs_from.get(state, ()):
             walk(dst, t + 1, acc + weight + float(em_logprobs[phone, symbols[t]]))
 
-    walk(graph.start, 0, 0.0)
+    walk(0, 0, 0.0)
     if not scores:
         return -math.inf
     peak = max(scores)
@@ -134,7 +134,6 @@ def random_instance(rng: random.Random, n_tasks: int = 1) -> tuple[
                 lexicon=words,
                 den_graph=build_denominator(range(n_phones), counts),
                 alpha=rng.choice([0.5, 1.0, 2.0]),
-                lm_logprob=zero_lm,
             )
         )
         batches[tid] = utts
@@ -164,7 +163,7 @@ def random_graph(rng: random.Random, n_states: int, n_phones: int) -> HmmGraph:
     finals[n_states - 1] = rng.uniform(-1.0, 0.0)
     if n_states > 1 and rng.random() < 0.4:
         finals[rng.randrange(n_states)] = rng.uniform(-1.0, 0.0)
-    return HmmGraph(n_states=n_states, arcs=arcs, start=0, finals=finals)
+    return HmmGraph(arcs, finals)
 
 
 def check_forward_enumeration(

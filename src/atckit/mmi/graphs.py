@@ -3,8 +3,9 @@
 A graph is two arrays. ``arcs`` holds one (src, dst, phone, weight) record
 per arc, with ``ARC_DTYPE`` as its dtype and the weight a natural log.
 ``finals`` holds one final log weight per state, -inf where the state is
-not final. The builders write both arrays directly and the recursions in
-``objective`` index their fields, so no Python object exists per arc.
+not final, so its length is the state count. State 0 is the start. The
+builders write both arrays directly and the recursions in ``objective``
+index their fields, so no Python object exists per arc.
 
 Each arc consumes exactly one observation frame and scores it with the
 emission distribution of its phone label, so a path of length T accepts an
@@ -33,28 +34,25 @@ ARC_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("phone", np.int64),
 
 @dataclass(frozen=True, eq=False)
 class HmmGraph:
-    """Arc-emitting acceptor: states 0..n_states-1, one start, weighted finals.
+    """Arc-emitting acceptor: states 0..n_states-1, start state 0, weighted finals.
 
     ``arcs`` takes anything ``np.asarray`` turns into ``ARC_DTYPE`` records,
     such as a list of (src, dst, phone, weight) tuples; ``finals`` takes one
     log weight per state. Both are stored as arrays.
     """
 
-    n_states: int
     arcs: np.ndarray  # ARC_DTYPE records
-    start: int
     finals: np.ndarray  # [n_states] final log weight, -inf for a non-final state
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=ARC_DTYPE))
         object.__setattr__(self, "finals", np.asarray(self.finals, dtype=np.float64))
-        n, arcs, finals = self.n_states, self.arcs, self.finals
+        arcs, finals = self.arcs, self.finals
         if arcs.ndim != 1:  # lists, unlike tuples, become one record per number
             raise ValueError("arcs must be one (src, dst, phone, weight) record per arc")
-        if not (0 <= self.start < n):
-            raise ValueError(f"start state {self.start} out of range")
-        if finals.shape != (n,):
-            raise ValueError(f"finals has shape {finals.shape}, expected ({n},)")
+        if finals.ndim != 1 or not finals.size:
+            raise ValueError(f"finals must be one weight per state, at least one, got shape {finals.shape}")
+        n = self.n_states
         top = finals.max()
         if not top < np.inf:  # max is NaN when any weight is
             raise ValueError("a final weight is NaN or +inf")
@@ -72,15 +70,19 @@ class HmmGraph:
         if not self._reaches_final():
             raise ValueError("no path from start to any final state")
 
+    @property
+    def n_states(self) -> int:
+        return len(self.finals)
+
     def _reaches_final(self) -> bool:
-        """Depth-first search from the start; each arc is followed at most once."""
+        """Depth-first search from state 0; each arc is followed at most once."""
         order = np.argsort(self.arcs["src"], kind="stable")
         # arcs leaving state s are targets[first[s]:first[s + 1]]
         first = np.searchsorted(self.arcs["src"][order], np.arange(self.n_states + 1)).tolist()
         targets = self.arcs["dst"][order].tolist()
         final = np.isfinite(self.finals).tolist()
-        seen = {self.start}
-        stack = [self.start]
+        seen = {0}
+        stack = [0]
         while stack:
             state = stack.pop()
             if final[state]:
@@ -114,7 +116,7 @@ def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) 
     arcs["phone"] = np.repeat(phones, 2)
     finals = np.full(len(phones) + 1, -np.inf)
     finals[-1] = 0.0
-    return HmmGraph(n_states=len(phones) + 1, arcs=arcs, start=0, finals=finals)
+    return HmmGraph(arcs, finals)
 
 
 def build_denominator(
@@ -146,7 +148,7 @@ def build_denominator(
     arcs["weight"] = weights
     finals = np.zeros(n + 1)
     finals[0] = -np.inf
-    return HmmGraph(n_states=n + 1, arcs=arcs, start=0, finals=finals)
+    return HmmGraph(arcs, finals)
 
 
 def phone_bigram_counts(sequences: Iterable[Sequence[int]]) -> Counter:

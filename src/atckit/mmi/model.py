@@ -10,7 +10,7 @@ this scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,11 +22,6 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax with max-shift, stable for any finite input."""
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def zero_lm(words: Sequence[str]) -> float:
-    """Default word-sequence log-probability: log 1 for everything."""
-    return 0.0
 
 
 @dataclass
@@ -54,13 +49,6 @@ class EmissionModel:
         """Emission log-probabilities for one task; rows are normalized."""
         return log_softmax(self.effective_logits(task_id))
 
-    def probs(self, task_id: int) -> np.ndarray:
-        return np.exp(self.log_probs(task_id))
-
-    def normalization_error(self, task_id: int) -> float:
-        """Largest |row sum - 1| over phones; should sit at float rounding."""
-        return float(np.abs(self.probs(task_id).sum(axis=1) - 1.0).max())
-
     def max_abs(self) -> float:
         """Largest |entry| over the shared and every bias matrix."""
         parts = [np.abs(self.shared).max(initial=0.0)]
@@ -70,14 +58,17 @@ class EmissionModel:
 
 @dataclass(frozen=True)
 class MmiTask:
-    """One training task: lexicon, denominator graph, weight, word LM."""
+    """One training task: lexicon, denominator graph, weight.
+
+    There is no word-LM term: a score that does not depend on the emissions
+    would shift the objective and add nothing to its gradient.
+    """
 
     task_id: int
     phones: tuple[str, ...]
     lexicon: Mapping[str, tuple[int, ...]]  # word -> phone-id sequence
     den_graph: HmmGraph
     alpha: float = DEFAULT_TASK_WEIGHT
-    lm_logprob: Callable[[tuple[str, ...]], float] = zero_lm
 
     def __post_init__(self) -> None:
         if self.alpha < 0:

@@ -1,9 +1,8 @@
 """Forward scoring, occupancies, and the multitask discriminative objective.
 
 Per utterance the objective is the log ratio of the numerator-graph
-likelihood (times a word-LM term) to the denominator-graph likelihood;
-per task it sums over that task's utterances; the multitask objective is
-the task-weighted sum.
+likelihood to the denominator-graph likelihood; per task it sums over that
+task's utterances; the multitask objective is the task-weighted sum.
 
 Training runs one batched forward-backward per task and graph kind. Each
 pass rewrites its graphs in a state-emitting form: every state is split by
@@ -18,8 +17,11 @@ stack. Both go through the same routine, so identical graphs give
 identical numbers. Only the alphas are kept for every frame: the backward
 sweep adds each frame's state posteriors to the occupancy, last frame
 first, and the log-softmax Jacobian is applied once per task to the summed
-numerator-minus-denominator occupancy. mmi_gradient returns the objective
-from the same pass; multitask_objective is the forward-only evaluation.
+numerator-minus-denominator occupancy. The numerators run first, and a
+row whose numerator rejects its utterance counts nothing in the
+denominator's occupancy, so each task takes one pass per graph kind.
+mmi_gradient returns the objective from the same pass; multitask_objective
+is the forward-only evaluation.
 
 All recursions run in natural-log space with max-shifted accumulation, and
 underflow cannot turn a reachable state into -inf for any finite
@@ -52,11 +54,11 @@ _LOWEST = np.finfo(np.float64).min
 
 
 def _forward(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:
-    """alpha[t, s], the log-sum over length-t paths from start ending in state
-    s, plus the sequence log-likelihood; raises NoPath when that is -inf."""
+    """alpha[t, s], the log-sum over length-t paths from state 0 ending in
+    state s, plus the sequence log-likelihood; raises NoPath when that is -inf."""
     src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     alphas = np.full((len(symbols) + 1, graph.n_states), -np.inf)
-    alphas[0, graph.start] = 0.0
+    alphas[0, 0] = 0.0
     for t, sym in enumerate(symbols, start=1):
         scores = alphas[t - 1, src] + weight + em_logprobs[phone, sym]
         np.logaddexp.at(alphas[t], dst, scores)
@@ -142,8 +144,7 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     first = np.searchsorted(src[order], np.arange(sizes.sum() + 1))
     counts = first[origin + 1] - first[origin]
     from_split = order[np.repeat(first[origin] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())]
-    starts = offset + np.array([g.start for g in graphs])
-    from_start = np.flatnonzero(src == starts[owner])
+    from_start = np.flatnonzero(src == offset[owner])
     via = np.concatenate([from_split, from_start])
     rows = np.concatenate([local[np.repeat(np.arange(len(keys)), counts)], np.zeros(len(from_start), np.intp)])
     q = 1 + int(per_graph.max(initial=0))
@@ -153,7 +154,7 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     phone[kgraph, local] = keys % span
     all_finals = np.concatenate([g.finals for g in graphs])
     finals = np.full((len(graphs), q), -np.inf)
-    finals[:, 0] = all_finals[starts]
+    finals[:, 0] = all_finals[offset]
     finals[kgraph, local] = all_finals[origin]
     return weights, phone, finals
 
@@ -191,16 +192,21 @@ def _log_matmul(x: np.ndarray, step: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _forward_backward(
-    graphs: Sequence[HmmGraph], em_logprobs: np.ndarray, symbol_seqs: Sequence[Sequence[int]], occupancy: bool
+    graphs: Sequence[HmmGraph],
+    em_logprobs: np.ndarray,
+    symbol_seqs: Sequence[Sequence[int]],
+    occupancy: bool,
+    counted: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched sequence log-likelihoods [B] and, with ``occupancy``, the
-    emission counts gamma [n_phones, n_symbols] summed over the batch.
+    emission counts gamma [n_phones, n_symbols] summed over the batch, or
+    over the rows the boolean mask ``counted`` marks.
 
     ``graphs`` is one graph shared by every sequence or one graph per
     sequence. A sequence no path accepts gets total -inf and adds nothing to
-    gamma. Sequences are padded at the end with symbol 0, and the padded
-    frames' alphas are set to -inf before the backward sweep, so they add
-    nothing either. Only the alphas are kept for every frame; the backward
+    gamma, nor does a row left out of ``counted``. Sequences are padded at
+    the end with symbol 0, and the padded frames' alphas are set to -inf
+    before the backward sweep, so they add nothing either. Only the alphas are kept for every frame; the backward
     sweep adds each frame's state posteriors to gamma with one bincount.
     """
     weights, phone, finals = _state_form(graphs)
@@ -234,7 +240,10 @@ def _forward_backward(
     n_phones, n_symbols = em_logprobs.shape
     gamma = np.zeros(n_phones * n_symbols)
     bins = phone[rows] * n_symbols
-    shift = np.where(totals > -np.inf, totals, np.inf)[:, None]  # a rejected sequence gets posterior 0
+    keep = totals > -np.inf
+    if counted is not None:
+        keep &= counted
+    shift = np.where(keep, totals, np.inf)[:, None]  # a rejected or uncounted sequence gets posterior 0
     ending: dict[int, list[int]] = {}
     for b, n in enumerate(lengths.tolist()):
         ending.setdefault(n, []).append(b)
@@ -266,21 +275,23 @@ def _task_pass(
     accepts its utterance, and with ``occupancy`` the summed numerator minus
     denominator occupancy.
 
-    Raises NoPath when the denominator rejects an utterance; an utterance
-    too short for its numerator gets ratio -inf and adds only its
-    denominator occupancy.
+    Raises NoPath when the denominator rejects an utterance. An utterance
+    too short for its numerator gets ratio -inf and adds no occupancy: the
+    numerators run first, and the denominator pass counts only the rows
+    they accept.
     """
     if not batch:
         return [], [], np.zeros(em_logprobs.shape) if occupancy else None
     symbols = [utt.symbols for utt in batch]
-    den, den_occ = _forward_backward([task.den_graph], em_logprobs, symbols, occupancy)
+    nums = [task.numerator_graph(utt.words) for utt in batch]
+    num, num_occ = _forward_backward(nums, em_logprobs, symbols, occupancy)
+    accepted = num != -np.inf  # a NaN total, from diverged parameters, is not a rejection
+    den, den_occ = _forward_backward([task.den_graph], em_logprobs, symbols, occupancy, accepted)
     if (den == -np.inf).any():
         i = int(np.argmax(den == -np.inf))
         raise NoPath(f"denominator accepts no path of length {len(symbols[i])}")
-    nums = [task.numerator_graph(utt.words) for utt in batch]
-    num, num_occ = _forward_backward(nums, em_logprobs, symbols, occupancy)
-    ratios = [n + task.lm_logprob(utt.words) - d for n, d, utt in zip(num.tolist(), den.tolist(), batch)]
-    return ratios, (num != -np.inf).tolist(), (num_occ - den_occ if occupancy else None)
+    ratios = (num - den).tolist()
+    return ratios, accepted.tolist(), (num_occ - den_occ if occupancy else None)
 
 
 def mmi_objective(
@@ -335,8 +346,8 @@ def mmi_gradient(
 
     The objective sums the same forward totals in multitask_objective's
     order, so the two agree bit for bit. An unreachable numerator adds -inf
-    to it and nothing to the gradient, with one warning; the task's gradient
-    is then recomputed over the other utterances alone.
+    to it and nothing to the gradient, with one warning; its row stays in
+    the task's one pass with posterior 0.
     """
     _check_tasks(tasks)
     grad = EmissionModel.zeros(*em.shared.shape, em.bias)
@@ -346,18 +357,15 @@ def mmi_gradient(
         _check_batch(batch, task)
         em_logprobs = em.log_probs(task.task_id)
         ratios, accepted, diff = _task_pass(batch, task, em_logprobs, occupancy=True)
-        if not all(accepted):
-            for utt, ok in zip(batch, accepted):
-                if not ok:
-                    logger.warning(
-                        "task %d transcript %s: numerator needs more than %d frames; "
-                        "contributing -inf and no gradient",
-                        task.task_id,
-                        " ".join(utt.words) or "<empty>",
-                        len(utt.symbols),
-                    )
-            kept = [utt for utt, ok in zip(batch, accepted) if ok]
-            diff = _task_pass(kept, task, em_logprobs, occupancy=True)[2]
+        for utt, ok in zip(batch, accepted):
+            if not ok:
+                logger.warning(
+                    "task %d transcript %s: numerator needs more than %d frames; "
+                    "contributing -inf and no gradient",
+                    task.task_id,
+                    " ".join(utt.words) or "<empty>",
+                    len(utt.symbols),
+                )
         objective += task.alpha * sum(ratios)
         g = diff - np.exp(em_logprobs) * diff.sum(axis=1, keepdims=True)
         grad.shared += task.alpha * g

@@ -25,7 +25,7 @@ import numpy as np
 from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
 from ..mmi_base import DivergenceDetected
 from .graphs import OovWord, build_denominator, phone_bigram_counts
-from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance, zero_lm
+from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance
 from .objective import mmi_gradient, multitask_objective
 
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
@@ -168,16 +168,7 @@ def build_tasks(
                     raise OovWord(f"task {task_id}: word {word!r} missing from lexicon")
             phone_seqs.append([pid for word in utt.words for pid in lexicon[word]])
         den = build_denominator(range(len(phones)), phone_bigram_counts(phone_seqs))
-        tasks.append(
-            MmiTask(
-                task_id=task_id,
-                phones=phones,
-                lexicon=lexicon,
-                den_graph=den,
-                alpha=alpha,
-                lm_logprob=zero_lm,
-            )
-        )
+        tasks.append(MmiTask(task_id=task_id, phones=phones, lexicon=lexicon, den_graph=den, alpha=alpha))
     return tasks
 
 

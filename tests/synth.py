@@ -7,6 +7,7 @@ differences) and never call the code paths they are used to check.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import string
@@ -150,6 +151,13 @@ def make_planted_corpus(rng: random.Random, n: int, n_planted: int, telephony, f
     return utterances, kept_ids
 
 
+def write_corpus(utterances, path) -> None:
+    """Write utterances as corpus JSONL, one ``Utterance.to_json`` record per line."""
+    with open(path, "w", encoding="utf-8") as stream:
+        for utt in utterances:
+            stream.write(json.dumps(utt.to_json()) + "\n")
+
+
 # --------------------------------------------------------------- classifier
 
 
@@ -280,7 +288,7 @@ def enumerate_logprob_oracle(graph, em_logprobs, symbols) -> float:
         for dst, phone, weight in arcs_from[state]:
             walk(dst, t + 1, acc + weight + float(em_logprobs[phone, symbols[t]]))
 
-    walk(graph.start, 0, 0.0)
+    walk(0, 0, 0.0)
     if not scores:
         return -math.inf
     peak = max(scores)

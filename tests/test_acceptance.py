@@ -14,7 +14,7 @@ import pytest
 
 from atckit.classifier import classify_corpus
 from atckit.cli import main
-from atckit.corpus import RoleLabel, Utterance, write_corpus
+from atckit.corpus import RoleLabel, Utterance
 from atckit.evaluation import ConfusionMatrix, accumulate, rates, wer
 from atckit.matcher import filter_corpus, find_matches
 from atckit.mmi import (
@@ -29,7 +29,6 @@ from atckit.mmi import (
     multitask_objective,
     pool_corpus,
     toy_train,
-    zero_lm,
 )
 from atckit.mmi.check import random_graph, random_instance
 
@@ -44,6 +43,7 @@ from synth import (
     relative_gradient_error,
     safe_fillers,
     variant_pool,
+    write_corpus,
 )
 
 
@@ -223,7 +223,7 @@ def test_c6_mmi_numerical_suite():
         utt = batches[task.task_id][0]
         matched = MmiTask(
             task.task_id, task.phones, task.lexicon,
-            task.numerator_graph(utt.words), alpha=1.0, lm_logprob=zero_lm,
+            task.numerator_graph(utt.words), alpha=1.0,
         )
         objective = mmi_objective([utt], matched, em)
         grad, _ = mmi_gradient({task.task_id: [utt]}, [matched], em)
@@ -235,7 +235,7 @@ def test_c6_mmi_numerical_suite():
         tasks, batches, em = random_instance(rng, n_tasks=1)
         task = MmiTask(
             tasks[0].task_id, tasks[0].phones, tasks[0].lexicon,
-            tasks[0].den_graph, alpha=1.0, lm_logprob=zero_lm,
+            tasks[0].den_graph, alpha=1.0,
         )
         reduction_ok = reduction_ok and multitask_objective(
             batches, [task], em

@@ -23,12 +23,12 @@ from atckit import classifier, cli
 from atckit.cli import main
 from atckit.callsign import VariantKind, expand_callsign, parse_callsign
 from atckit.classifier import RULE_ORDERS, FiredRule, classify_corpus
-from atckit.corpus import Utterance, write_corpus
+from atckit.corpus import Utterance, tokenize
 from atckit.evaluation import accumulate
 from atckit.mmi import objective
 from atckit.mmi.check import random_instance
 
-from synth import branch_cases, make_planted_corpus, random_callsign_raw, safe_fillers
+from synth import branch_cases, make_planted_corpus, random_callsign_raw, safe_fillers, write_corpus
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -180,7 +180,7 @@ class TestClassify:
     def test_rule_order_flag_accepted(self, tmp_path, capsys):
         src = tmp_path / "corpus.jsonl"
         write_corpus(
-            [Utterance.from_text("u1", "wilco skytravel eight four juliett", callsigns=["TVS84J"])],
+            [Utterance("u1", tokenize("wilco skytravel eight four juliett"), context_callsigns=("TVS84J",))],
             src,
         )
         prefix = str(tmp_path / "out")
@@ -207,6 +207,31 @@ class TestClassify:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["corpus.jsonl"] + [p.name for p in old.values()]
         )
+
+    def test_done_marker_only_after_the_last_rename(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "corpus.jsonl"
+        write_lines(src, ['{"id": "u1", "text": "wilco"}', '{"id": "u2", "text": "roger"}'])
+        argv = ["classify", "--corpus", str(src), "--out-prefix", str(tmp_path / "out")]
+        done = tmp_path / "out.done"
+        code, manifest, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert manifest["outputs"]["done"] == str(done)
+        assert done.read_text() == ""
+        # a crash between the renames leaves a mixed set, and no marker vouches for it
+        renames = []
+        real_replace = os.replace
+
+        def replace(tmp, path):
+            renames.append(path)
+            if len(renames) == 2:
+                raise OSError("disk gone")
+            real_replace(tmp, path)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code, manifest, _ = run_cli(capsys, argv)
+        assert code == 1 and manifest["error"] == "OSError"
+        assert len(renames) == 2
+        assert not done.exists()
 
 
 def pin_corpus(telephony, role_lexicon):
@@ -888,6 +913,21 @@ class TestFreshProcess:
         assert proc.returncode == 1
         assert len(proc.stdout.splitlines()) == 1
         assert strict_manifest(proc.stdout)["error"] == error
+        assert proc.stderr == ""
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # as in `atckit expand ... | true`: the reader is gone before the manifest is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "atckit", "expand", "--callsign", "TVS84J", "--pretty"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
         assert proc.stderr == ""
 
 

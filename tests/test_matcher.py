@@ -15,7 +15,6 @@ from atckit.corpus import (
     Utterance,
     read_corpus,
     tokenize,
-    write_corpus,
 )
 from atckit.matcher import (
     MEMO_SIZE,
@@ -35,6 +34,7 @@ from synth import (
     random_callsign_raw,
     safe_fillers,
     variant_pool,
+    write_corpus,
 )
 
 

@@ -23,7 +23,6 @@ class TestNumerator:
     def test_single_word_chain(self):
         g = build_numerator(["ab"], LEX)
         assert g.n_states == 3
-        assert g.start == 0
         assert g.finals.tolist() == [-INF, -INF, 0.0]
         forward = {(s, d): p for s, d, p, _ in rows(g) if s != d}
         loops = {s: p for s, d, p, _ in rows(g) if s == d}
@@ -67,7 +66,6 @@ class TestDenominator:
     def test_every_phone_state_is_final_and_start_is_not(self):
         g = build_denominator([0, 1, 2], {})
         assert g.finals.tolist() == [-INF, 0.0, 0.0, 0.0]
-        assert g.start == 0
 
     def test_empty_phone_set_rejected(self):
         with pytest.raises(ValueError):
@@ -101,50 +99,51 @@ class TestArcOrder:
 class TestGraphValidation:
     def test_requires_path_to_final(self):
         with pytest.raises(ValueError):
-            HmmGraph(n_states=2, arcs=[], start=0, finals=[-INF, 0.0])
+            HmmGraph([], [-INF, 0.0])
 
     def test_requires_finite_weights(self):
         with pytest.raises(ValueError):
-            HmmGraph(n_states=2, arcs=[(0, 1, 0, -INF)], start=0, finals=[-INF, 0.0])
+            HmmGraph([(0, 1, 0, -INF)], [-INF, 0.0])
 
     def test_requires_states_in_range(self):
         with pytest.raises(ValueError):
-            HmmGraph(n_states=1, arcs=[(0, 3, 0, 0.0)], start=0, finals=[0.0])
+            HmmGraph([(0, 3, 0, 0.0)], [0.0])
 
     def test_start_may_be_final(self):
-        g = HmmGraph(n_states=1, arcs=[], start=0, finals=[0.0])
+        g = HmmGraph([], [0.0])
         assert g.n_states == 1
 
     def test_accepts_the_base_case(self):
         # every rejected case below differs from this graph in one place
-        g = HmmGraph(n_states=2, arcs=[(0, 1, 0, 0.0)], start=0, finals=[-INF, 0.0])
+        g = HmmGraph([(0, 1, 0, 0.0)], [-INF, 0.0])
         assert len(g.arcs) == 1
 
     @pytest.mark.parametrize(
-        "n_states, arcs, finals, message",
+        "arcs, finals, message",
         [
-            pytest.param(2, [(0, 1, 0, 0.0)], [math.nan, 0.0], "NaN or", id="nan_final"),
-            pytest.param(2, [(0, 1, 0, 0.0)], [INF, 0.0], "NaN or", id="plus_inf_final"),
-            pytest.param(2, [(0, 1, 0, 0.0)], [-INF, 0.0, 0.0], "shape", id="finals_wrong_length"),
-            pytest.param(2, [(0, 1, 0, 0.0)], [-INF, -INF], "no final", id="no_final_state"),
-            pytest.param(2, [(0, 1, -1, 0.0)], [-INF, 0.0], "negative phone", id="negative_phone"),
-            pytest.param(2, [(0, 2, 0, 0.0)], [-INF, 0.0], "out of range", id="dst_out_of_range"),
-            pytest.param(2, [(1, 0, 0, 0.0)], [-INF, 0.0], "no path", id="unreachable_final"),
-            pytest.param(2, [[0, 1, 0, 0.0]], [-INF, 0.0], "one .* record per arc", id="arc_as_a_list"),
+            pytest.param([(0, 1, 0, 0.0)], [math.nan, 0.0], "NaN or", id="nan_final"),
+            pytest.param([(0, 1, 0, 0.0)], [INF, 0.0], "NaN or", id="plus_inf_final"),
+            pytest.param([(0, 1, 0, 0.0)], [[-INF, 0.0]], "one weight per state", id="finals_not_one_dim"),
+            pytest.param([], [], "one weight per state", id="no_states"),
+            pytest.param([(0, 1, 0, 0.0)], [-INF, -INF], "no final", id="no_final_state"),
+            pytest.param([(0, 1, -1, 0.0)], [-INF, 0.0], "negative phone", id="negative_phone"),
+            pytest.param([(0, 2, 0, 0.0)], [-INF, 0.0], "out of range", id="dst_out_of_range"),
+            pytest.param([(1, 0, 0, 0.0)], [-INF, 0.0], "no path", id="unreachable_final"),
+            pytest.param([[0, 1, 0, 0.0]], [-INF, 0.0], "one .* record per arc", id="arc_as_a_list"),
             pytest.param(
-                4, [(0, 1, 0, 0.0), (1, 0, 0, 0.0), (2, 3, 0, 0.0)], [-INF, -INF, -INF, 0.0], "no path",
+                [(0, 1, 0, 0.0), (1, 0, 0, 0.0), (2, 3, 0, 0.0)], [-INF, -INF, -INF, 0.0], "no path",
                 id="unreachable_final_past_a_cycle",
             ),
         ],
     )
-    def test_rejects(self, n_states, arcs, finals, message):
+    def test_rejects(self, arcs, finals, message):
         with pytest.raises(ValueError, match=message):
-            HmmGraph(n_states=n_states, arcs=arcs, start=0, finals=finals)
+            HmmGraph(arcs, finals)
 
     def test_reaches_final_whatever_the_arc_order(self):
         # a chain 0 -> 1 -> 2 -> 3 listed backwards, with a cycle on the way
         arcs = [(2, 3, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 0, 0.0), (1, 0, 0, 0.0), (0, 1, 0, 0.0)]
-        g = HmmGraph(n_states=4, arcs=arcs, start=0, finals=[-INF, -INF, -INF, 0.0])
+        g = HmmGraph(arcs, [-INF, -INF, -INF, 0.0])
         assert len(g.arcs) == 5
 
 

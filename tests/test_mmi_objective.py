@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -17,7 +18,7 @@ from atckit.mmi import (
     mmi_gradient,
     mmi_objective,
     multitask_objective,
-    zero_lm,
+    objective,
 )
 from atckit.mmi.check import random_graph, random_instance
 from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form
@@ -39,7 +40,6 @@ def simple_task(task_id=0, alpha=1.0, lexicon=LEX, n_phones=2):
         lexicon=lexicon,
         den_graph=den,
         alpha=alpha,
-        lm_logprob=zero_lm,
     )
 
 
@@ -127,11 +127,11 @@ class TestOccupancy:
     def test_zero_frames(self):
         arcs = [(0, 1, 0, -0.5), (1, 0, 1, -0.2)]  # (src, dst, phone, weight)
         lp = uniform_model(2, 3).log_probs(0)
-        start_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=[-0.3, -math.inf])
+        start_final = HmmGraph(arcs, [-0.3, -math.inf])
         occ, total = emission_occupancy(start_final, lp, ())
         assert total == -0.3
         assert occ.shape == lp.shape and not occ.any()
-        start_not_final = HmmGraph(n_states=2, arcs=arcs, start=0, finals=[-math.inf, -0.3])
+        start_not_final = HmmGraph(arcs, [-math.inf, -0.3])
         with pytest.raises(NoPath):
             emission_occupancy(start_not_final, lp, ())
 
@@ -141,15 +141,15 @@ class TestObjective:
         task = simple_task()
         utt = TrainingUtterance(0, (0, 1, 1), ("ab",))
         num = task.numerator_graph(utt.words)
-        matched = MmiTask(0, task.phones, task.lexicon, num, alpha=1.0, lm_logprob=zero_lm)
+        matched = MmiTask(0, task.phones, task.lexicon, num, alpha=1.0)
         assert mmi_objective([utt], matched, uniform_model(2, 2)) == 0.0
 
     def test_numerator_paths_subset_of_denominator_is_nonpositive(self):
         # denominator: the same chain plus an extra escape arc, all weights log 1
         num = build_numerator(["ab"], LEX)
         arcs = num.arcs.tolist() + [(0, 2, 1, 0.0)]
-        den = HmmGraph(n_states=num.n_states, arcs=arcs, start=0, finals=num.finals)
-        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0, lm_logprob=zero_lm)
+        den = HmmGraph(arcs, num.finals)
+        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0)
         em = uniform_model(2, 2)
         for symbols in [(0, 1), (0, 1, 0), (1, 1, 0, 0)]:
             value = mmi_objective([TrainingUtterance(0, symbols, ("ab",))], task, em)
@@ -174,18 +174,6 @@ class TestObjective:
         short = TrainingUtterance(0, (0,), ("ab", "ba"))  # needs 4 frames
         assert mmi_objective([short], task, em) == -math.inf
 
-    def test_word_lm_term_added(self):
-        base = simple_task()
-        task = MmiTask(
-            0, base.phones, base.lexicon, base.den_graph, alpha=1.0,
-            lm_logprob=lambda words: -1.5,
-        )
-        utt = TrainingUtterance(0, (0, 1), ("ab",))
-        em = uniform_model(2, 2)
-        assert mmi_objective([utt], task, em) == pytest.approx(
-            mmi_objective([utt], base, em) - 1.5
-        )
-
 
 class TestMultitask:
     def test_weighted_sum(self):
@@ -199,19 +187,10 @@ class TestMultitask:
         # two tasks at weight 0.5 with per-task objectives -2 and -4 sum to -3
         rng = random.Random(65)
         tasks, batches, em = random_instance(rng, n_tasks=2)
+        tasks = [dataclasses.replace(t, alpha=0.5) for t in tasks]
         values = {1: -2.0, 2: -4.0}
-        stub_tasks = []
-        for t in tasks:
-            stub_tasks.append(
-                MmiTask(t.task_id, t.phones, t.lexicon, t.den_graph, alpha=0.5,
-                        lm_logprob=lambda words, v=values[t.task_id]: v)
-            )
-            # one-frame utterance whose num and den are the same graph: ratio 0
-        batches = {
-            t.task_id: [TrainingUtterance(t.task_id, (0,), ())] for t in stub_tasks
-        }
-        monkeypatch.setattr(MmiTask, "numerator_graph", lambda self, words: self.den_graph)
-        assert multitask_objective(batches, stub_tasks, em) == pytest.approx(-3.0)
+        monkeypatch.setattr(objective, "mmi_objective", lambda batch, task, em: values[task.task_id])
+        assert multitask_objective(batches, tasks, em) == pytest.approx(-3.0)
 
     def test_single_task_weight_one_reduces_bitwise(self):
         rng = random.Random(66)
@@ -219,7 +198,7 @@ class TestMultitask:
             tasks, batches, em = random_instance(rng, n_tasks=1)
             task = MmiTask(
                 tasks[0].task_id, tasks[0].phones, tasks[0].lexicon,
-                tasks[0].den_graph, alpha=1.0, lm_logprob=zero_lm,
+                tasks[0].den_graph, alpha=1.0,
             )
             assert multitask_objective(batches, [task], em) == mmi_objective(
                 batches[task.task_id], task, em
@@ -230,8 +209,7 @@ class TestMultitask:
         tasks, batches, em = random_instance(rng, n_tasks=2)
         for c in (0.5, 2.0, 3.0):
             scaled = [
-                MmiTask(t.task_id, t.phones, t.lexicon, t.den_graph, alpha=c * t.alpha,
-                        lm_logprob=t.lm_logprob)
+                MmiTask(t.task_id, t.phones, t.lexicon, t.den_graph, alpha=c * t.alpha)
                 for t in tasks
             ]
             assert multitask_objective(batches, scaled, em) == pytest.approx(
@@ -253,7 +231,7 @@ class TestGradient:
         utt = TrainingUtterance(0, (0, 1, 1), ("ab",))
         matched = MmiTask(
             0, task.phones, task.lexicon, task.numerator_graph(utt.words),
-            alpha=1.0, lm_logprob=zero_lm,
+            alpha=1.0,
         )
         grad, _ = mmi_gradient({0: [utt]}, [matched], uniform_model(2, 2))
         assert grad.max_abs() == 0.0
@@ -303,6 +281,26 @@ class TestGradient:
             for tid in grad.bias:
                 np.testing.assert_array_equal(padded_grad.bias[tid], grad.bias[tid])
 
+    def test_rejected_numerator_adds_no_second_pass(self, monkeypatch):
+        # a rejected numerator is a row with posterior 0 in the task's one
+        # pass: one numerator and one denominator forward-backward per task
+        rng = random.Random(76)
+        tasks, batches, em = random_instance(rng, n_tasks=2)
+        task = tasks[0]
+        too_short = TrainingUtterance(task.task_id, (0,), tuple(sorted(task.lexicon)) * 2)
+        padded = {**batches, task.task_id: [too_short] + batches[task.task_id]}
+        forward_backward = objective._forward_backward
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return forward_backward(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "_forward_backward", counting)
+        _, value = mmi_gradient(padded, tasks, em)
+        assert value == -math.inf
+        assert len(calls) == 2 * len(tasks)
+
     def test_gradient_accumulation_is_deterministic(self):
         rng = random.Random(72)
         tasks, batches, em = random_instance(rng, n_tasks=2)
@@ -323,7 +321,7 @@ class TestBatchedPass:
         np.testing.assert_array_equal(em.log_probs(0), logits)
         task = MmiTask(
             0, ("p0", "p1", "p2"), {"w": (0, 1, 2)}, build_denominator(range(3), {}),
-            alpha=1.0, lm_logprob=zero_lm,
+            alpha=1.0,
         )
         utt = TrainingUtterance(0, (0, 0, 0), ("w",))
         num = forward_logprob(task.numerator_graph(utt.words), em, 0, utt.symbols)
@@ -340,9 +338,9 @@ class TestBatchedPass:
         # phone 1 (from 2); state 2 by phone 1 (from 0 and 1) and by phone 0
         # (its self-loop); the batched pass splits each in two
         arcs = [(0, 1, 0, -0.3), (0, 2, 1, -1.2), (1, 2, 1, -0.7), (2, 1, 1, -0.4), (1, 1, 0, -0.9), (2, 2, 0, -0.2)]
-        den = HmmGraph(n_states=3, arcs=arcs, start=0, finals=[-math.inf, 0.0, -0.5])
+        den = HmmGraph(arcs, [-math.inf, 0.0, -0.5])
         assert _state_form([den])[0].shape == (1, 5, 5)
-        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0, lm_logprob=zero_lm)
+        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0)
         rng = random.Random(75)
         em = EmissionModel(
             shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]),
@@ -372,7 +370,7 @@ class TestBatchedPass:
         # shifts each graph's weights by their max, and the guard recovers
         # the arcs whose shifted weight underflows
         arcs = [(0, 1, 0, 800.0), (1, 1, 1, 790.0), (1, 2, 0, -800.0), (2, 2, 1, 795.0), (0, 2, 1, 0.0)]
-        graph = HmmGraph(n_states=3, arcs=arcs, start=0, finals=[-math.inf, 0.0, -2.0])
+        graph = HmmGraph(arcs, [-math.inf, 0.0, -2.0])
         lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
         seqs = [(0,), (0, 1, 1), (1, 0, 1, 0)]
         totals, occ = _forward_backward([graph], lp, seqs, occupancy=True)
@@ -389,4 +387,5 @@ def test_emission_rows_normalized_to_machine_precision():
     for _ in range(20):
         tasks, batches, em = random_instance(rng, n_tasks=2)
         for t in tasks:
-            assert em.normalization_error(t.task_id) <= 1e-12
+            row_sums = np.exp(em.log_probs(t.task_id)).sum(axis=1)
+            assert np.abs(row_sums - 1.0).max() <= 1e-12
