@@ -22,6 +22,8 @@ from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax
 from .objective import (
     NoPath,
     _forward_backward,
+    _sweep,
+    compile_plan,
     emission_occupancy,
     forward_logprob,
     mmi_gradient,
@@ -273,10 +275,10 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
 
     Each instance runs four batches: random arc-emitting graphs, whose
     states the batched pass must split by entering phone, one per sequence
-    and one shared; and a random task's denominator and numerators. Totals
-    are compared relative to max(1, |total|), the batch's summed occupancy
-    relative to max(1, its largest entry); a sequence the generic forward
-    rejects must get total -inf.
+    and one shared; and both sweeps of a two-task plan, with one utterance
+    too short for its numerator. Totals are compared relative to max(1,
+    |total|), the summed occupancy relative to max(1, its largest entry); a
+    sequence the generic forward rejects must get total -inf.
     """
     worst = 0.0
     for _ in range(instances):
@@ -284,30 +286,30 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
         logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
         graphs = [random_graph(rng, rng.randint(1, 4), n_phones) for _ in range(3)]
         seqs = [tuple(rng.randrange(n_symbols) for _ in range(rng.randint(0, 5))) for _ in graphs]
-        lp = log_softmax(logits)
-        tasks, batches, em = random_instance(rng, n_tasks=1)
-        task = tasks[0]
-        utts = batches[task.task_id]
-        task_seqs = [u.symbols for u in utts]
-        task_lp = em.log_probs(task.task_id)
-        for batch_graphs, em_logprobs, symbols in (
-            (graphs, lp, seqs),
-            (graphs[:1], lp, seqs),
-            ([task.den_graph], task_lp, task_seqs),
-            ([task.numerator_graph(u.words) for u in utts], task_lp, task_seqs),
+        tasks, batches, em = random_instance(rng, n_tasks=2)
+        batches[2].append(TrainingUtterance(2, (0,), tuple(sorted(tasks[1].lexicon)) * 2))  # too short
+        plan = compile_plan(batches, tasks)
+        owner = [u.task_id - 1 for u in plan.rows]  # random_instance numbers its tasks from 1
+        plan_seqs = [u.symbols for u in plan.rows]
+        lp, plan_lp = log_softmax(logits)[None], np.stack([em.log_probs(t.task_id) for t in tasks])
+        for sweep, tables, row_graphs, row_tables, symbols in (
+            (_sweep(graphs, seqs, [0] * 3), lp, graphs, [0] * 3, seqs),
+            (_sweep(graphs[:1], seqs, [0], [0] * 3), lp, graphs[:1] * 3, [0] * 3, seqs),
+            (plan.den, plan_lp, [tasks[k].den_graph for k in owner], owner, plan_seqs),
+            (plan.num, plan_lp, [tasks[k].numerator_graph(u.words) for k, u in zip(owner, plan.rows)], owner, plan_seqs),
         ):
-            totals, occupancy = _forward_backward(batch_graphs, em_logprobs, symbols, occupancy=True)
-            expected = np.zeros(em_logprobs.shape)
+            totals, occupancy = _forward_backward(sweep, tables, occupancy=True)
+            expected = np.zeros(tables.shape)
             for i, seq in enumerate(symbols):
                 try:
-                    occ, total = emission_occupancy(batch_graphs[i % len(batch_graphs)], em_logprobs, seq)
+                    occ, total = emission_occupancy(row_graphs[i], tables[row_tables[i]], seq)
                 except NoPath:
                     if totals[i] != -np.inf:
                         return CheckResult(
                             "batched_vs_generic", False, f"batched total {float(totals[i])!r} where no path accepts"
                         )
                     continue
-                expected += occ
+                expected[row_tables[i]] += occ
                 err = abs(totals[i] - total) / max(1.0, abs(total))
                 worst = max(worst, err)
                 if not err <= tolerance:

@@ -4,24 +4,20 @@ Per utterance the objective is the log ratio of the numerator-graph
 likelihood to the denominator-graph likelihood; per task it sums over that
 task's utterances; the multitask objective is the task-weighted sum.
 
-Training runs one batched forward-backward per task and graph kind. Each
-pass rewrites its graphs in a state-emitting form: every state is split by
-the phone on the arcs entering it, so the emission term factors out of the
-recursion,
+Training compiles its batches once (compile_plan), then runs one batched
+forward-backward per graph kind and pass over the rows of every task, with
+the graphs in a state-emitting form: every state is split by the phone on
+the arcs entering it, so the emission term factors out of the recursion,
 
-    alpha_t = E[phone, x_t] + logmatmul(alpha_{t-1}, W),
+    alpha_t = E[task, phone, x_t] + logmatmul(alpha_{t-1}, W),
 
-with W the [Q, Q] log transition matrix. The task's denominator is one W
-shared by the whole batch; its numerators are padded into a [B, Q, Q]
-stack. Both go through the same routine, so identical graphs give
-identical numbers. Only the alphas are kept for every frame: the backward
-sweep adds each frame's state posteriors to the occupancy, last frame
-first, and the log-softmax Jacobian is applied once per task to the summed
-numerator-minus-denominator occupancy. The numerators run first, and a
-row whose numerator rejects its utterance counts nothing in the
-denominator's occupancy, so each task takes one pass per graph kind.
-mmi_gradient returns the objective from the same pass; multitask_objective
-is the forward-only evaluation.
+with W the [Q, Q] log transition matrix. The numerators are one [N, Q, Q]
+stack, one per row; each task's denominator is one W its rows share. Only
+the alphas are kept for every frame: the backward sweep adds each frame's
+state posteriors to the occupancy, binned by (task, phone, symbol). The
+numerators run first, and a row whose numerator rejects its utterance
+counts nothing in the denominator's occupancy. mmi_gradient returns the
+objective from the same pass; multitask_objective is the forward-only one.
 
 All recursions run in natural-log space with max-shifted accumulation, and
 underflow cannot turn a reachable state into -inf for any finite
@@ -29,15 +25,14 @@ parameters. The batched log-matmul sums each max-shifted row in the linear
 domain, where terms below about 1e-308 lose precision or vanish, so a state
 fed only by such terms would read -inf; an entry whose shifted sum falls
 below _TINY while some finite predecessor feeds it is therefore recomputed
-exactly in log space. The arc-generic _forward,
-_backward_betas, forward_logprob and emission_occupancy are the references
-the batched pass is checked against.
+exactly in log space. The arc-generic _forward, _backward_betas,
+forward_logprob and emission_occupancy are the references it is checked against.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,9 +119,9 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     weights, parallel arcs combined by logaddexp, -inf for no arc),
     phone [G, Q] and finals [G, Q], one row per graph.
     """
-    sizes = np.array([g.n_states for g in graphs])
+    sizes = np.array([g.n_states for g in graphs], dtype=np.intp)
     offset = np.cumsum(sizes) - sizes  # global id of each graph's state 0
-    arcs = np.concatenate([g.arcs for g in graphs])
+    arcs = np.concatenate([np.zeros(0, ARC_DTYPE), *(g.arcs for g in graphs)])
     owner = np.repeat(np.arange(len(graphs)), [len(g.arcs) for g in graphs])
     src, dst = arcs["src"] + offset[owner], arcs["dst"] + offset[owner]
     span = int(arcs["phone"].max(initial=0)) + 1
@@ -152,25 +147,41 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     np.logaddexp.at(weights, (owner[via], rows, local[col[via]]), arcs["weight"][via])
     phone = np.zeros((len(graphs), q), dtype=np.intp)
     phone[kgraph, local] = keys % span
-    all_finals = np.concatenate([g.finals for g in graphs])
+    all_finals = np.concatenate([np.zeros(0), *(g.finals for g in graphs)])
     finals = np.full((len(graphs), q), -np.inf)
     finals[:, 0] = all_finals[offset]
     finals[kgraph, local] = all_finals[origin]
     return weights, phone, finals
 
 
-def _stepper(weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What _log_matmul needs of weights [G, Q, Q]: the weights, exp of them,
-    the arc mask, and the underflow floor per column (_TINY where an arc
-    enters it, -1 where none does, so a column no arc enters is never
-    recomputed)."""
+def _stepper(weights: np.ndarray, graph: np.ndarray | None) -> tuple:
+    """What _log_matmul needs of weights [G, Q, Q] for rows on graph b each,
+    or with ``graph`` on shared graph[b]: the weights, their exp, the arc
+    mask, the underflow floor per row (_TINY where an arc enters a column,
+    else -1), each row's graph, and where each row's result lies in the one
+    product a frame takes with shared graphs. That product has the graphs'
+    columns stacked as rows and the rows as columns: with the rows as rows,
+    a row's rounding would depend on the others (OpenBLAS sends a one-row
+    product to gemv, and gemm's summation order varies with the row count).
+    """
     arcs = weights > -np.inf
-    return weights, np.exp(weights), arcs, np.where(arcs.any(axis=1), _TINY, -1.0)
+    floor = np.where(arcs.any(axis=1), _TINY, -1.0)
+    if graph is None:
+        return weights, np.exp(weights), arcs, floor, np.arange(len(weights)), None
+    n, q = weights.shape[:2]
+    side = lambda a: np.ascontiguousarray(a.transpose(0, 2, 1).reshape(n * q, q))  # noqa: E731
+    pick = (graph[:, None] * q + np.arange(q)) * len(graph) + np.arange(len(graph))[:, None]
+    return weights, side(np.exp(weights)), side(arcs), floor[graph], graph, pick
 
 
-def _log_matmul(x: np.ndarray, step: tuple[np.ndarray, ...]) -> np.ndarray:
-    """log(exp(x) @ exp(weights)) row by row, for x [B, Q] and a _stepper of
-    weights [G, Q, Q] with G one (shared by every row) or B.
+def _rowwise(x: np.ndarray, mats: np.ndarray, pick: np.ndarray | None) -> np.ndarray:
+    """x[b] times row b's matrix, for every row (see _stepper)."""
+    return np.matmul(x[:, None, :], mats)[:, 0] if pick is None else np.take(mats @ x.T, pick)
+
+
+def _log_matmul(x: np.ndarray, step: tuple) -> np.ndarray:
+    """log(exp(x[b]) @ exp(weights[graph[b]])) row by row, for x [B, Q] and a
+    _stepper of weights [G, Q, Q].
 
     Each row is shifted by its max and summed in the linear domain, so its
     largest term is exp(weight) <= 1. An entry whose shifted sum is below
@@ -178,120 +189,127 @@ def _log_matmul(x: np.ndarray, step: tuple[np.ndarray, ...]) -> np.ndarray:
     it through an arc (one boolean matmul) it is recomputed in log space.
     Callers silence the divide warning of log(0).
     """
-    weights, linear, arcs, floor = step
+    weights, linear, arcs, floor, graph, pick = step
     top = np.maximum(x.max(axis=1, keepdims=True), _LOWEST)  # an all -inf row stays -inf
-    sums = np.matmul(np.exp(x - top)[:, None, :], linear)[:, 0]
+    sums = _rowwise(np.exp(x - top), linear, pick)
     out = np.log(sums) + top
     low = sums < floor
     if low.any():
-        low &= np.matmul((x > -np.inf)[:, None, :], arcs)[:, 0]
+        low &= _rowwise(x > -np.inf, arcs, pick)
         if low.any():
             b, q = np.nonzero(low)
-            out[b, q] = np.logaddexp.reduce(x[b] + weights[b % len(weights), :, q], axis=1)
+            out[b, q] = np.logaddexp.reduce(x[b] + weights[graph[b], :, q], axis=1)
     return out
 
 
-def _forward_backward(
-    graphs: Sequence[HmmGraph],
-    em_logprobs: np.ndarray,
-    symbol_seqs: Sequence[Sequence[int]],
-    occupancy: bool,
-    counted: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched sequence log-likelihoods [B] and, with ``occupancy``, the
-    emission counts gamma [n_phones, n_symbols] summed over the batch, or
-    over the rows the boolean mask ``counted`` marks.
-
-    ``graphs`` is one graph shared by every sequence or one graph per
-    sequence. A sequence no path accepts gets total -inf and adds nothing to
-    gamma, nor does a row left out of ``counted``. Sequences are padded at
-    the end with symbol 0, and the padded frames' alphas are set to -inf
-    before the backward sweep, so they add nothing either. Only the alphas are kept for every frame; the backward
-    sweep adds each frame's state posteriors to gamma with one bincount.
-    """
+def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph=None) -> tuple:
+    """The graphs in state form over the sequences, for _forward_backward:
+    row b runs on graph b, or with ``graph`` on shared graph[b]; graph g
+    reads emission table table[g]. Returns the padded symbols, the lengths,
+    each row's graph, each graph's table, phone, finals, lift and steppers."""
     weights, phone, finals = _state_form(graphs)
     # each graph's weights drop by their max, so exp cannot overflow; the
     # emissions add it back, since every step takes one weight and one emission
     lift = weights.max(axis=(1, 2))
     lift[lift == -np.inf] = 0.0
     weights -= lift[:, None, None]
-    n_graphs, q = weights.shape[:2]
-    batch = len(symbol_seqs)
-    rows = np.arange(batch) % n_graphs  # the graph each sequence runs on
     lengths = np.array([len(s) for s in symbol_seqs], dtype=np.intp)
-    frames = int(lengths.max(initial=0))
-    sym = np.zeros((batch, frames), dtype=np.intp)
-    sym[np.arange(frames) < lengths[:, None]] = [s for seq in symbol_seqs for s in seq]
-    # emit[x * G + g, q] = E[phone[g, q], x] + lift[g], so frame t reads emit[at[:, t]]
-    emit = (em_logprobs.T[:, phone] + lift[:, None]).reshape(-1, q)
-    at = sym * n_graphs + rows[:, None]
+    sym = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
+    sym[np.arange(sym.shape[1]) < lengths[:, None]] = [s for seq in symbol_seqs for s in seq]
+    rows = np.arange(len(graphs)) if graph is None else np.asarray(graph, dtype=np.intp)
+    steppers = [_stepper(w, None if graph is None else rows) for w in (weights, weights.transpose(0, 2, 1).copy())]
+    return sym, lengths, rows, np.asarray(table, dtype=np.intp), phone, finals, lift, *steppers
+
+
+def _forward_backward(
+    sweep: tuple, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log-likelihoods [B] of a _sweep's rows and, with ``occupancy``, the
+    emission counts gamma [T, n_phones, n_symbols] over every row, or over
+    the rows the boolean mask ``counted`` marks; ``em_logprobs`` stacks the
+    T emission tables. A row no path accepts gets total -inf and adds
+    nothing to gamma; nor do the padded frames, whose alphas are set to
+    -inf before the backward sweep.
+    """
+    sym, lengths, graph, table, phone, finals, lift, fwd, bwd = sweep
+    n_graphs, q = phone.shape
+    batch, frames = sym.shape
+    # emit[x * G + g, q] = E[table[g], phone[g, q], x] + lift[g], so frame t reads emit[at[:, t]]
+    emit = (em_logprobs[table[:, None], phone].transpose(2, 0, 1) + lift[:, None]).reshape(-1, q)
+    at = sym * n_graphs + graph[:, None]
 
     alphas = np.full((frames + 1, batch, q), -np.inf)
     alphas[0, :, 0] = 0.0
-    step = _stepper(weights)
     with np.errstate(divide="ignore"):
         for t in range(1, frames + 1):
-            alphas[t] = emit[at[:, t - 1]] + _log_matmul(alphas[t - 1], step)
-    totals = np.logaddexp.reduce(alphas[lengths, np.arange(batch)] + finals[rows], axis=1)
+            alphas[t] = emit[at[:, t - 1]] + _log_matmul(alphas[t - 1], fwd)
+    finals = finals[graph]
+    totals = np.logaddexp.reduce(alphas[lengths, np.arange(batch)] + finals, axis=1)
     if not occupancy:
         return totals, None
 
     alphas[np.arange(frames + 1)[:, None] > lengths] = -np.inf
-    n_phones, n_symbols = em_logprobs.shape
-    gamma = np.zeros(n_phones * n_symbols)
-    bins = phone[rows] * n_symbols
+    gamma = np.zeros(em_logprobs.size)
+    bins = (table[graph, None] * em_logprobs.shape[1] + phone[graph]) * em_logprobs.shape[2]
     keep = totals > -np.inf
     if counted is not None:
         keep &= counted
-    shift = np.where(keep, totals, np.inf)[:, None]  # a rejected or uncounted sequence gets posterior 0
-    ending: dict[int, list[int]] = {}
-    for b, n in enumerate(lengths.tolist()):
-        ending.setdefault(n, []).append(b)
+    shift = np.where(keep, totals, np.inf)[:, None]  # a rejected or uncounted row gets posterior 0
     # a row not yet at its last frame carries finite filler, which its -inf
     # alphas mask, until its betas restart from the finals
-    betas = np.where((lengths == frames)[:, None], finals[rows], 0.0)
-    step = _stepper(weights.transpose(0, 2, 1).copy())
+    betas = np.where((lengths == frames)[:, None], finals, 0.0)
     with np.errstate(divide="ignore"):
         for t in range(frames, 0, -1):
             post = np.exp(alphas[t] + betas - shift)
             gamma += np.bincount((bins + sym[:, t - 1, None]).ravel(), weights=post.ravel(), minlength=len(gamma))
-            betas = _log_matmul(emit[at[:, t - 1]] + betas, step)
-            if t - 1 in ending:
-                b = ending[t - 1]
-                betas[b] = finals[rows[b]]
-    return totals, gamma.reshape(n_phones, n_symbols)
+            betas = _log_matmul(emit[at[:, t - 1]] + betas, bwd)
+            betas = np.where((lengths == t - 1)[:, None], finals, betas)
+    return totals, gamma.reshape(em_logprobs.shape)
 
 
-def _check_batch(batch: Sequence[TrainingUtterance], task: MmiTask) -> None:
-    for utt in batch:
-        if utt.task_id != task.task_id:
-            raise ValueError(f"utterance of task {utt.task_id} in batch for task {task.task_id}")
+class Plan(NamedTuple):
+    """Batches compiled for repeated passes; see compile_plan."""
+
+    tasks: tuple[MmiTask, ...]
+    rows: tuple[TrainingUtterance, ...]  # every task's batch, task by task
+    num: tuple  # _sweep of each row's numerator, on its task's emissions
+    den: tuple  # _sweep of each task's denominator, shared by its rows
 
 
-def _task_pass(
-    batch: Sequence[TrainingUtterance], task: MmiTask, em_logprobs: np.ndarray, occupancy: bool
-) -> tuple[list[float], list[bool], np.ndarray | None]:
-    """Per-utterance log ratios in batch order, whether each numerator
-    accepts its utterance, and with ``occupancy`` the summed numerator minus
-    denominator occupancy.
+def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequence[MmiTask]) -> Plan:
+    """What every pass over ``batches`` needs but the emissions: numerators
+    built and validated once, both graph kinds in state form, the padded
+    symbols. A trainer builds it once per run and passes it to every
+    mmi_gradient and multitask_objective call."""
+    ids = [t.task_id for t in tasks]
+    if not tasks or len(set(ids)) != len(ids):
+        raise ValueError(f"need at least one task, with distinct ids, got {ids}")
+    rows = tuple(utt for task in tasks for utt in batches.get(task.task_id, ()))
+    owner = [k for k, task in enumerate(tasks) for _ in batches.get(task.task_id, ())]
+    for utt, k in zip(rows, owner):
+        if utt.task_id != ids[k]:
+            raise ValueError(f"utterance of task {utt.task_id} in batch for task {ids[k]}")
+    symbols = [utt.symbols for utt in rows]
+    nums = [tasks[k].numerator_graph(utt.words) for k, utt in zip(owner, rows)]
+    den = _sweep([task.den_graph for task in tasks], symbols, np.arange(len(tasks)), owner)
+    return Plan(tuple(tasks), rows, _sweep(nums, symbols, owner), den)
 
-    Raises NoPath when the denominator rejects an utterance. An utterance
-    too short for its numerator gets ratio -inf and adds no occupancy: the
-    numerators run first, and the denominator pass counts only the rows
-    they accept.
-    """
-    if not batch:
-        return [], [], np.zeros(em_logprobs.shape) if occupancy else None
-    symbols = [utt.symbols for utt in batch]
-    nums = [task.numerator_graph(utt.words) for utt in batch]
-    num, num_occ = _forward_backward(nums, em_logprobs, symbols, occupancy)
+
+def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
+    """Each task's objective (its rows' log ratios summed in order), whether
+    each row's numerator accepts its utterance, the stacked emission tables,
+    and with ``occupancy`` the numerator minus denominator occupancy
+    [T, P, S]. Raises NoPath when a denominator rejects an utterance."""
+    em_logprobs = np.stack([em.log_probs(task.task_id) for task in plan.tasks])
+    num, num_occ = _forward_backward(plan.num, em_logprobs, occupancy)
     accepted = num != -np.inf  # a NaN total, from diverged parameters, is not a rejection
-    den, den_occ = _forward_backward([task.den_graph], em_logprobs, symbols, occupancy, accepted)
+    den, den_occ = _forward_backward(plan.den, em_logprobs, occupancy, accepted)
     if (den == -np.inf).any():
         i = int(np.argmax(den == -np.inf))
-        raise NoPath(f"denominator accepts no path of length {len(symbols[i])}")
-    ratios = (num - den).tolist()
-    return ratios, accepted.tolist(), (num_occ - den_occ if occupancy else None)
+        raise NoPath(f"denominator accepts no path of length {len(plan.rows[i].symbols)}")
+    owner = plan.den[2]  # a denominator row runs on its task's graph
+    objectives = np.bincount(owner, weights=num - den, minlength=len(plan.tasks)).tolist()
+    return objectives, accepted, em_logprobs, (num_occ - den_occ if occupancy else None)
 
 
 def mmi_objective(
@@ -302,72 +320,50 @@ def mmi_objective(
     An utterance whose numerator needs more frames than it has contributes
     -inf without a log line; mmi_gradient is the pass that warns about it.
     """
-    _check_batch(batch, task)
-    return sum(_task_pass(batch, task, em.log_probs(task.task_id), occupancy=False)[0])
-
-
-def _check_tasks(tasks: Sequence[MmiTask]) -> None:
-    if not tasks:
-        raise ValueError("need at least one task")
-    ids = [t.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"task ids must be distinct, got {ids}")
+    return _plan_pass(compile_plan({task.task_id: batch}, [task]), em, occupancy=False)[0][0]
 
 
 def multitask_objective(
     batches: Mapping[int, Sequence[TrainingUtterance]],
     tasks: Sequence[MmiTask],
     em: EmissionModel,
+    plan: Plan | None = None,
 ) -> float:
-    """Weighted sum of per-task objectives; reduces to the single objective at T=1, weight 1."""
-    _check_tasks(tasks)
-    return sum(task.alpha * mmi_objective(batches.get(task.task_id, ()), task, em) for task in tasks)
+    """Weighted sum of per-task objectives; reduces to the single objective at T=1, weight 1.
+    ``plan``, if given, is compile_plan(batches, tasks), built once for many passes."""
+    plan = plan or compile_plan(batches, tasks)
+    return sum(task.alpha * f for task, f in zip(plan.tasks, _plan_pass(plan, em, occupancy=False)[0]))
 
 
 def mmi_gradient(
     batches: Mapping[int, Sequence[TrainingUtterance]],
     tasks: Sequence[MmiTask],
     em: EmissionModel,
+    plan: Plan | None = None,
 ) -> tuple[EmissionModel, float]:
     """Gradient of the multitask objective with respect to all logits, plus the objective.
 
     The derivative with respect to task t's emission log-probabilities is
-    numerator occupancy minus denominator occupancy, summed over the task's
-    batch. The batched pass sums each graph kind's occupancy frame by frame
-    (last frame first), then takes the difference d once per task; the
-    log-softmax Jacobian is linear in d, so it is applied once per task:
+    its numerator minus denominator occupancy d; the log-softmax Jacobian is
+    linear in d, so it is applied once per task:
 
         g[p, s] = d[p, s] - softmax[p, s] * sum_s' d[p, s']
 
     The shared matrix collects every task's weighted contribution; each bias
-    matrix collects only its own task's. The order is fixed (tasks in the
-    given order, frames and batch rows in a fixed order within a task), so
-    repeated runs are bit-identical.
-
-    The objective sums the same forward totals in multitask_objective's
-    order, so the two agree bit for bit. An unreachable numerator adds -inf
-    to it and nothing to the gradient, with one warning; its row stays in
-    the task's one pass with posterior 0.
+    matrix only its own task's. The order is fixed, so repeated runs are
+    bit-identical, and the objective is multitask_objective's to the bit.
+    An unreachable numerator adds -inf to it and nothing to the gradient,
+    and one warning counts such rows. ``plan`` is as in multitask_objective.
     """
-    _check_tasks(tasks)
+    plan = plan or compile_plan(batches, tasks)
+    objectives, accepted, em_logprobs, diff = _plan_pass(plan, em, occupancy=True)
+    if not accepted.all():
+        short = [" ".join(plan.rows[i].words) or "<empty>" for i in np.flatnonzero(~accepted)]
+        msg = "%d transcripts need more frames than their utterances have, so they add -inf and no gradient: %s"
+        logger.warning(msg, len(short), "; ".join(short[:3]) + ("; ..." if len(short) > 3 else ""))
     grad = EmissionModel.zeros(*em.shared.shape, em.bias)
-    objective = 0
-    for task in tasks:
-        batch = batches.get(task.task_id, ())
-        _check_batch(batch, task)
-        em_logprobs = em.log_probs(task.task_id)
-        ratios, accepted, diff = _task_pass(batch, task, em_logprobs, occupancy=True)
-        for utt, ok in zip(batch, accepted):
-            if not ok:
-                logger.warning(
-                    "task %d transcript %s: numerator needs more than %d frames; "
-                    "contributing -inf and no gradient",
-                    task.task_id,
-                    " ".join(utt.words) or "<empty>",
-                    len(utt.symbols),
-                )
-        objective += task.alpha * sum(ratios)
-        g = diff - np.exp(em_logprobs) * diff.sum(axis=1, keepdims=True)
+    for task, d, lp in zip(plan.tasks, diff, em_logprobs):
+        g = d - np.exp(lp) * d.sum(axis=1, keepdims=True)
         grad.shared += task.alpha * g
         grad.bias[task.task_id] += task.alpha * g
-    return grad, objective
+    return grad, sum(task.alpha * f for task, f in zip(plan.tasks, objectives))

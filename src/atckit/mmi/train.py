@@ -26,7 +26,7 @@ from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
 from ..mmi_base import DivergenceDetected
 from .graphs import OovWord, build_denominator, phone_bigram_counts
 from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance
-from .objective import mmi_gradient, multitask_objective
+from .objective import compile_plan, mmi_gradient, multitask_objective
 
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
 DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
@@ -62,9 +62,9 @@ def toy_train(
     The trace holds the objective at initialization and after every
     update; with a small enough learning rate on fixed batches it is
     non-decreasing. The result also keeps each applied gradient's largest
-    absolute entry. Each step takes its trace point and its gradient from
-    one mmi_gradient pass; only the point after the last update comes
-    from the forward-only multitask_objective. DIVERGENCE_PATIENCE
+    absolute entry. The run compiles its batches once; each step takes its
+    trace point and gradient from one mmi_gradient pass, and only the point
+    after the last update comes from multitask_objective. DIVERGENCE_PATIENCE
     consecutive decreases, or any objective that is not finite, abort with
     DivergenceDetected. A non-finite gradient is applied and makes the next
     objective non-finite, so numpy's overflow and invalid-value warnings on
@@ -75,6 +75,7 @@ def toy_train(
         if not corpus.get(task.task_id):
             raise ValueError(f"task {task.task_id} has no training utterances")
     model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
+    plan = compile_plan(corpus, tasks)
     trace: list[float] = []
     grad_max_abs: list[float] = []
     drops = 0
@@ -85,10 +86,10 @@ def toy_train(
                 for tid in model.bias:
                     model.bias[tid] += learning_rate * grad.bias[tid]
             if step < steps:
-                grad, objective = mmi_gradient(corpus, tasks, model)
+                grad, objective = mmi_gradient(corpus, tasks, model, plan)
                 grad_max_abs.append(grad.max_abs())
             else:
-                objective = multitask_objective(corpus, tasks, model)
+                objective = multitask_objective(corpus, tasks, model, plan)
             if not math.isfinite(objective):
                 # before the first update only the data can be at fault
                 cause = "a transcript needs more frames than its utterance has"

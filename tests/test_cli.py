@@ -834,6 +834,26 @@ class TestHarness:
         assert counts["mmi.objective.arc_frames"] == occupancy + len(task.den_graph.arcs) * len(symbols)
         assert counts["mmi.objective.nopath"] == 0
 
+    def test_benchmark_traces_every_training_step(self):
+        # perfbench/run.py takes max() of the step times, which it reads off
+        # the gradient and objective spans directly under toy_train
+        spans = perfbench_spans()
+        tasks, batches, _ = random_instance(random.Random(6), n_tasks=2)
+        tracer = spans.Tracer()
+        undo = spans.install(tracer)
+        try:
+            cli.toy_train(tasks, batches, n_symbols=4, steps=2, learning_rate=0.01)
+        finally:
+            spans.uninstall(undo)
+        names = [tracer.names[i] for i in tracer.name]
+        (top,) = [i for i, name in enumerate(names) if name == "mmi.train.toy_train"]
+        children = [name for name, parent in zip(names, tracer.parent) if parent == top]
+        objective_spans = [name for name in children if name.startswith("mmi.objective.")]
+        gradient, evaluation = "mmi.objective.mmi_gradient", "mmi.objective.multitask_objective"
+        assert objective_spans == [gradient, gradient, evaluation]
+        table = spans.SpanTable(tracer.names, tracer.name, tracer.parent, tracer.start, tracer.end)
+        assert len(table.steps("mmi.train.toy_train", gradient, evaluation)) == 1
+
     def test_program_bug_is_not_reported_as_a_data_error(self, tmp_path, monkeypatch):
         def broken(path):
             raise ValueError("a bug, not bad data")

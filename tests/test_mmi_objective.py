@@ -15,13 +15,14 @@ from atckit.mmi import (
     build_numerator,
     emission_occupancy,
     forward_logprob,
+    log_softmax,
     mmi_gradient,
     mmi_objective,
     multitask_objective,
     objective,
 )
 from atckit.mmi.check import random_graph, random_instance
-from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form
+from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form, _sweep
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
 
@@ -188,8 +189,8 @@ class TestMultitask:
         rng = random.Random(65)
         tasks, batches, em = random_instance(rng, n_tasks=2)
         tasks = [dataclasses.replace(t, alpha=0.5) for t in tasks]
-        values = {1: -2.0, 2: -4.0}
-        monkeypatch.setattr(objective, "mmi_objective", lambda batch, task, em: values[task.task_id])
+        # the pass yields each task's objective, then the accept mask, tables and occupancy
+        monkeypatch.setattr(objective, "_plan_pass", lambda plan, em, occupancy: ([-2.0, -4.0], None, None, None))
         assert multitask_objective(batches, tasks, em) == pytest.approx(-3.0)
 
     def test_single_task_weight_one_reduces_bitwise(self):
@@ -281,9 +282,26 @@ class TestGradient:
             for tid in grad.bias:
                 np.testing.assert_array_equal(padded_grad.bias[tid], grad.bias[tid])
 
+    def test_unreachable_numerators_share_one_warning(self, caplog):
+        rng = random.Random(77)
+        tasks, batches, em = random_instance(rng, n_tasks=2)
+        grad, _ = mmi_gradient(batches, tasks, em)
+        padded = {
+            t.task_id: [TrainingUtterance(t.task_id, (0,), tuple(sorted(t.lexicon)) * 2)] + batches[t.task_id]
+            for t in tasks
+        }
+        caplog.clear()
+        padded_grad, padded_objective = mmi_gradient(padded, tasks, em)
+        assert padded_objective == -math.inf
+        (record,) = caplog.records
+        transcript = " ".join(sorted(tasks[0].lexicon) * 2)
+        assert record.getMessage().startswith("2 transcripts need more frames")
+        assert record.getMessage().endswith(f": {transcript}; {transcript}")
+        np.testing.assert_array_equal(padded_grad.shared, grad.shared)
+
     def test_rejected_numerator_adds_no_second_pass(self, monkeypatch):
-        # a rejected numerator is a row with posterior 0 in the task's one
-        # pass: one numerator and one denominator forward-backward per task
+        # a rejected numerator is a row with posterior 0 in the pass: one
+        # numerator and one denominator forward-backward over every task
         rng = random.Random(76)
         tasks, batches, em = random_instance(rng, n_tasks=2)
         task = tasks[0]
@@ -299,7 +317,7 @@ class TestGradient:
         monkeypatch.setattr(objective, "_forward_backward", counting)
         _, value = mmi_gradient(padded, tasks, em)
         assert value == -math.inf
-        assert len(calls) == 2 * len(tasks)
+        assert len(calls) == 2
 
     def test_gradient_accumulation_is_deterministic(self):
         rng = random.Random(72)
@@ -312,6 +330,26 @@ class TestGradient:
 
 
 class TestBatchedPass:
+    @pytest.mark.parametrize("n_tasks, n_phones", [(2, 20), (3, 16)])
+    def test_shared_graph_rows_do_not_depend_on_other_rows(self, n_tasks, n_phones):
+        # denominators of 17 and 21 states: a row's total is the same bits
+        # whichever other rows share its pass. Taking the shared product with
+        # the rows as rows fails this, per task or side by side
+        rng = random.Random(78)
+        dens = [
+            build_denominator(range(n_phones), {(rng.randrange(n_phones), rng.randrange(n_phones)): 3 for _ in range(60)})
+            for _ in range(n_tasks)
+        ]
+        seqs = [tuple(rng.randrange(5) for _ in range(rng.randint(2, 9))) for _ in range(40)]
+        owner = sorted(rng.randrange(n_tasks) for _ in seqs)
+        lp = np.stack([log_softmax(np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n_phones)]))
+                       for _ in dens])
+        tables = list(range(n_tasks))
+        totals, _ = _forward_backward(_sweep(dens, seqs, tables, owner), lp, occupancy=False)
+        for keep in ([2, 13, 31], [17, 38], [1, 8, 12, 17, 28, 31, 39]):
+            sweep = _sweep(dens, [seqs[i] for i in keep], tables, [owner[i] for i in keep])
+            np.testing.assert_array_equal(_forward_backward(sweep, lp, occupancy=False)[0], totals[keep])
+
     def test_underflowing_linear_sum_is_recomputed(self):
         # chain over phones 0, 1, 2 on three frames of symbol 0: the second
         # and third frames each cost e^-1000, so the max-shifted linear sum
@@ -373,8 +411,8 @@ class TestBatchedPass:
         graph = HmmGraph(arcs, [-math.inf, 0.0, -2.0])
         lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
         seqs = [(0,), (0, 1, 1), (1, 0, 1, 0)]
-        totals, occ = _forward_backward([graph], lp, seqs, occupancy=True)
-        expected = np.zeros(lp.shape)
+        totals, occ = _forward_backward(_sweep([graph], seqs, [0], [0] * len(seqs)), lp[None], occupancy=True)
+        expected = np.zeros((1, *lp.shape))
         for total, seq in zip(totals, seqs):
             ref_occ, ref_total = emission_occupancy(graph, lp, seq)
             assert total == pytest.approx(ref_total, rel=1e-12)

@@ -107,6 +107,17 @@ class TestToyTrain:
         toy_train(build_tasks(corpus, WORD_PHONES), corpus, n_symbols=2, steps=5, learning_rate=0.1)
         assert calls == {"mmi_gradient": 5, "multitask_objective": 1}
 
+    def test_numerators_built_once_per_run(self, monkeypatch):
+        import atckit.mmi.model as model
+
+        built = []
+        build_numerator = model.build_numerator
+        monkeypatch.setattr(model, "build_numerator", lambda *args: built.append(args) or build_numerator(*args))
+        corpus = two_task_corpus()
+        tasks = build_tasks(corpus, WORD_PHONES)
+        toy_train(tasks, corpus, n_symbols=2, steps=3, learning_rate=0.1)
+        assert len(built) == sum(len(batch) for batch in corpus.values())
+
     def test_non_finite_objective_is_divergence(self):
         corpus = {1: [TrainingUtterance(1, (0,), ("ab",))]}  # two phones cannot fit one frame
         tasks = build_tasks(corpus, WORD_PHONES)
