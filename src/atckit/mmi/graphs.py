@@ -94,6 +94,14 @@ class HmmGraph:
         return False
 
 
+def transcript_phones(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) -> list[int]:
+    """The lexicon phones of ``words``, concatenated; raises OovWord for a word the lexicon lacks."""
+    for word in words:
+        if word not in lexicon:
+            raise OovWord(f"word {word!r} not in lexicon")
+    return [p for word in words for p in lexicon[word]]
+
+
 def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) -> HmmGraph:
     """Linear alignment graph for one transcript.
 
@@ -104,11 +112,7 @@ def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) 
     empty sequence. Arc 2i is the forward arc i -> i+1 and arc 2i+1 the
     self-loop on i+1, both emitting phones[i].
     """
-    phones: list[int] = []
-    for word in words:
-        if word not in lexicon:
-            raise OovWord(f"word {word!r} not in lexicon")
-        phones.extend(lexicon[word])
+    phones = transcript_phones(words, lexicon)
     k = np.arange(2 * len(phones))
     arcs = np.zeros(len(k), dtype=ARC_DTYPE)
     arcs["src"] = (k + 1) // 2

@@ -11,33 +11,36 @@ the arcs entering it, so the emission term factors out of the recursion,
 
     alpha_t = E[task, phone, x_t] + logmatmul(alpha_{t-1}, W),
 
-with W the [Q, Q] log transition matrix. The numerators are one [N, Q, Q]
-stack, one per row; each task's denominator is one W its rows share. Only
-the alphas are kept for every frame: the backward sweep adds each frame's
-state posteriors to the occupancy, binned by (task, phone, symbol). The
-numerators run first, and a row whose numerator rejects its utterance
-counts nothing in the denominator's occupancy. mmi_gradient returns the
-objective from the same pass; multitask_objective is the forward-only one.
+with W the [Q, Q] log transition matrix. Each task's denominator is one W
+its rows share. A numerator is a chain built from the transcript's phones:
+W holds only stay (q -> q) and advance (q -> q + 1), so each frame is an
+exact elementwise logaddexp of alpha + stay and shifted alpha + advance.
+Only the alphas are kept for every frame: the backward sweep adds each
+frame's state posteriors to the occupancy, binned by (task, phone,
+symbol). The numerators run first, and a row whose numerator rejects its
+utterance counts nothing in the denominator's occupancy. mmi_gradient
+returns the objective from the same pass; multitask_objective is the
+forward-only one.
 
-All recursions run in natural-log space with max-shifted accumulation, and
-underflow cannot turn a reachable state into -inf for any finite
-parameters. The batched log-matmul sums each max-shifted row in the linear
-domain, where terms below about 1e-308 lose precision or vanish, so a state
-fed only by such terms would read -inf; an entry whose shifted sum falls
-below _TINY while some finite predecessor feeds it is therefore recomputed
-exactly in log space. The arc-generic _forward, _backward_betas,
-forward_logprob and emission_occupancy are the references it is checked against.
+All recursions run in natural-log space, and underflow cannot turn a
+reachable state into -inf for any finite parameters. The log-matmul sums
+each max-shifted row in the linear domain, where terms below about 1e-308
+vanish, so an entry whose shifted sum falls below _TINY while some finite
+predecessor feeds it is recomputed exactly in log space. The arc-generic
+_forward, _backward_betas, forward_logprob and emission_occupancy are the
+references it is checked against.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..mmi_base import NoPath
-from .graphs import ARC_DTYPE, HmmGraph
+from .graphs import ARC_DTYPE, HmmGraph, transcript_phones
 from .model import EmissionModel, MmiTask, TrainingUtterance
 
 logger = logging.getLogger(__name__)
@@ -154,29 +157,20 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     return weights, phone, finals
 
 
-def _stepper(weights: np.ndarray, graph: np.ndarray | None) -> tuple:
-    """What _log_matmul needs of weights [G, Q, Q] for rows on graph b each,
-    or with ``graph`` on shared graph[b]: the weights, their exp, the arc
-    mask, the underflow floor per row (_TINY where an arc enters a column,
-    else -1), each row's graph, and where each row's result lies in the one
-    product a frame takes with shared graphs. That product has the graphs'
-    columns stacked as rows and the rows as columns: with the rows as rows,
-    a row's rounding would depend on the others (OpenBLAS sends a one-row
-    product to gemv, and gemm's summation order varies with the row count).
-    """
+def _stepper(weights: np.ndarray, graph: np.ndarray) -> tuple:
+    """What _log_matmul needs of weights [G, Q, Q] for rows on graph[b]: the
+    weights, their exp, the arc mask, the underflow floor per row (_TINY
+    where an arc enters a column, else -1), each row's graph, and where each
+    row's result lies in the one product a frame takes, with the graphs'
+    columns stacked as rows and the rows as columns. With the rows as rows, a
+    row's rounding would depend on the others (OpenBLAS sends a one-row
+    product to gemv; gemm's summation order varies with the row count)."""
     arcs = weights > -np.inf
     floor = np.where(arcs.any(axis=1), _TINY, -1.0)
-    if graph is None:
-        return weights, np.exp(weights), arcs, floor, np.arange(len(weights)), None
     n, q = weights.shape[:2]
     side = lambda a: np.ascontiguousarray(a.transpose(0, 2, 1).reshape(n * q, q))  # noqa: E731
     pick = (graph[:, None] * q + np.arange(q)) * len(graph) + np.arange(len(graph))[:, None]
     return weights, side(np.exp(weights)), side(arcs), floor[graph], graph, pick
-
-
-def _rowwise(x: np.ndarray, mats: np.ndarray, pick: np.ndarray | None) -> np.ndarray:
-    """x[b] times row b's matrix, for every row (see _stepper)."""
-    return np.matmul(x[:, None, :], mats)[:, 0] if pick is None else np.take(mats @ x.T, pick)
 
 
 def _log_matmul(x: np.ndarray, step: tuple) -> np.ndarray:
@@ -191,45 +185,77 @@ def _log_matmul(x: np.ndarray, step: tuple) -> np.ndarray:
     """
     weights, linear, arcs, floor, graph, pick = step
     top = np.maximum(x.max(axis=1, keepdims=True), _LOWEST)  # an all -inf row stays -inf
-    sums = _rowwise(np.exp(x - top), linear, pick)
+    sums = np.take(linear @ np.exp(x - top).T, pick)
     out = np.log(sums) + top
     low = sums < floor
     if low.any():
-        low &= _rowwise(x > -np.inf, arcs, pick)
+        low &= np.take(arcs @ (x > -np.inf).T, pick)
         if low.any():
             b, q = np.nonzero(low)
             out[b, q] = np.logaddexp.reduce(x[b] + weights[graph[b], :, q], axis=1)
     return out
 
 
-def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph=None) -> tuple:
+def _chain_step(x: np.ndarray, stay: np.ndarray, advance: np.ndarray, back: bool) -> np.ndarray:
+    """One frame of chains with log weights stay (q -> q) and advance (q -> q + 1),
+    [B, Q] each, for x [B, Q]: state q gathers from q and q - 1, or with ``back``
+    from q and q + 1. Elementwise, so no row depends on the others."""
+    out = x + stay
+    if back:
+        np.logaddexp(out[:, :-1], x[:, 1:] + advance[:, :-1], out=out[:, :-1])
+    else:
+        np.logaddexp(out[:, 1:], x[:, :-1] + advance[:, :-1], out=out[:, 1:])
+    return out
+
+
+def _pad(symbol_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences as one zero-padded [B, frames] array, and their lengths."""
+    lengths = np.array([len(s) for s in symbol_seqs], dtype=np.intp)
+    sym = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
+    sym[np.arange(sym.shape[1]) < lengths[:, None]] = [s for seq in symbol_seqs for s in seq]
+    return sym, lengths
+
+
+def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph) -> tuple:
     """The graphs in state form over the sequences, for _forward_backward:
-    row b runs on graph b, or with ``graph`` on shared graph[b]; graph g
-    reads emission table table[g]. Returns the padded symbols, the lengths,
-    each row's graph, each graph's table, phone, finals, lift and steppers."""
+    row b runs on shared graph[b]; graph g reads emission table table[g].
+    Returns the padded symbols, the lengths, each row's graph, each graph's
+    table, phone, finals, lift and the forward and backward steps."""
     weights, phone, finals = _state_form(graphs)
     # each graph's weights drop by their max, so exp cannot overflow; the
     # emissions add it back, since every step takes one weight and one emission
     lift = weights.max(axis=(1, 2))
     lift[lift == -np.inf] = 0.0
     weights -= lift[:, None, None]
-    lengths = np.array([len(s) for s in symbol_seqs], dtype=np.intp)
-    sym = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
-    sym[np.arange(sym.shape[1]) < lengths[:, None]] = [s for seq in symbol_seqs for s in seq]
-    rows = np.arange(len(graphs)) if graph is None else np.asarray(graph, dtype=np.intp)
-    steppers = [_stepper(w, None if graph is None else rows) for w in (weights, weights.transpose(0, 2, 1).copy())]
-    return sym, lengths, rows, np.asarray(table, dtype=np.intp), phone, finals, lift, *steppers
+    rows = np.asarray(graph, dtype=np.intp)
+    fwd, bwd = (partial(_log_matmul, step=_stepper(w, rows)) for w in (weights, weights.transpose(0, 2, 1).copy()))
+    return *_pad(symbol_seqs), rows, np.asarray(table, dtype=np.intp), phone, finals, lift, fwd, bwd
+
+
+def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequence[int]], table) -> tuple:
+    """Row b's numerator, the chain over phone_seqs[b] on table table[b], as
+    _sweep gives build_numerator's graph, but stepped by _chain_step on the
+    two diagonals of its weights, stay and advance [B, Q]: 0 or -inf."""
+    k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
+    state = np.arange(1 + int(k.max(initial=0)))
+    emitting = (state >= 1) & (state <= k)
+    phone = np.zeros(emitting.shape, dtype=np.intp)
+    phone[emitting] = [p for seq in phone_seqs for p in seq]
+    stay, advance = np.where(emitting, 0.0, -np.inf), np.where(state < k, 0.0, -np.inf)
+    fwd, bwd = (partial(_chain_step, stay=stay, advance=advance, back=back) for back in (False, True))
+    finals, rows = np.where(state == k, 0.0, -np.inf), np.arange(len(k))
+    return *_pad(symbol_seqs), rows, np.asarray(table, dtype=np.intp), phone, finals, np.zeros(len(k)), fwd, bwd
 
 
 def _forward_backward(
     sweep: tuple, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Log-likelihoods [B] of a _sweep's rows and, with ``occupancy``, the
-    emission counts gamma [T, n_phones, n_symbols] over every row, or over
-    the rows the boolean mask ``counted`` marks; ``em_logprobs`` stacks the
-    T emission tables. A row no path accepts gets total -inf and adds
-    nothing to gamma; nor do the padded frames, whose alphas are set to
-    -inf before the backward sweep.
+    """Log-likelihoods [B] of a _sweep's or _chain_sweep's rows and, with
+    ``occupancy``, the emission counts gamma [T, n_phones, n_symbols] over
+    every row, or over the rows the boolean mask ``counted`` marks;
+    ``em_logprobs`` stacks the T emission tables. A row no path accepts gets
+    total -inf and adds nothing to gamma; nor do the padded frames, whose
+    alphas are set to -inf before the backward sweep.
     """
     sym, lengths, graph, table, phone, finals, lift, fwd, bwd = sweep
     n_graphs, q = phone.shape
@@ -242,7 +268,7 @@ def _forward_backward(
     alphas[0, :, 0] = 0.0
     with np.errstate(divide="ignore"):
         for t in range(1, frames + 1):
-            alphas[t] = emit[at[:, t - 1]] + _log_matmul(alphas[t - 1], fwd)
+            alphas[t] = emit[at[:, t - 1]] + fwd(alphas[t - 1])
     finals = finals[graph]
     totals = np.logaddexp.reduce(alphas[lengths, np.arange(batch)] + finals, axis=1)
     if not occupancy:
@@ -262,7 +288,7 @@ def _forward_backward(
         for t in range(frames, 0, -1):
             post = np.exp(alphas[t] + betas - shift)
             gamma += np.bincount((bins + sym[:, t - 1, None]).ravel(), weights=post.ravel(), minlength=len(gamma))
-            betas = _log_matmul(emit[at[:, t - 1]] + betas, bwd)
+            betas = bwd(emit[at[:, t - 1]] + betas)
             betas = np.where((lengths == t - 1)[:, None], finals, betas)
     return totals, gamma.reshape(em_logprobs.shape)
 
@@ -272,15 +298,15 @@ class Plan(NamedTuple):
 
     tasks: tuple[MmiTask, ...]
     rows: tuple[TrainingUtterance, ...]  # every task's batch, task by task
-    num: tuple  # _sweep of each row's numerator, on its task's emissions
+    num: tuple  # _chain_sweep of each row's numerator, on its task's emissions
     den: tuple  # _sweep of each task's denominator, shared by its rows
 
 
 def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequence[MmiTask]) -> Plan:
-    """What every pass over ``batches`` needs but the emissions: numerators
-    built and validated once, both graph kinds in state form, the padded
-    symbols. A trainer builds it once per run and passes it to every
-    mmi_gradient and multitask_objective call."""
+    """What every pass over ``batches`` needs but the emissions: each
+    numerator as a chain over its transcript's phones, each denominator in
+    state form, the padded symbols. A trainer builds it once per run and
+    passes it to every mmi_gradient and multitask_objective call."""
     ids = [t.task_id for t in tasks]
     if not tasks or len(set(ids)) != len(ids):
         raise ValueError(f"need at least one task, with distinct ids, got {ids}")
@@ -290,16 +316,16 @@ def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequ
         if utt.task_id != ids[k]:
             raise ValueError(f"utterance of task {utt.task_id} in batch for task {ids[k]}")
     symbols = [utt.symbols for utt in rows]
-    nums = [tasks[k].numerator_graph(utt.words) for k, utt in zip(owner, rows)]
+    phones = [transcript_phones(utt.words, tasks[k].lexicon) for k, utt in zip(owner, rows)]
     den = _sweep([task.den_graph for task in tasks], symbols, np.arange(len(tasks)), owner)
-    return Plan(tuple(tasks), rows, _sweep(nums, symbols, owner), den)
+    return Plan(tuple(tasks), rows, _chain_sweep(phones, symbols, owner), den)
 
 
 def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
-    """Each task's objective (its rows' log ratios summed in order), whether
-    each row's numerator accepts its utterance, the stacked emission tables,
-    and with ``occupancy`` the numerator minus denominator occupancy
-    [T, P, S]. Raises NoPath when a denominator rejects an utterance."""
+    """Each task's objective (its rows' log ratios summed in order), the
+    stacked emission tables, and with ``occupancy`` the numerator minus
+    denominator occupancy [T, P, S]. Raises NoPath when a denominator
+    rejects an utterance."""
     em_logprobs = np.stack([em.log_probs(task.task_id) for task in plan.tasks])
     num, num_occ = _forward_backward(plan.num, em_logprobs, occupancy)
     accepted = num != -np.inf  # a NaN total, from diverged parameters, is not a rejection
@@ -309,7 +335,21 @@ def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
         raise NoPath(f"denominator accepts no path of length {len(plan.rows[i].symbols)}")
     owner = plan.den[2]  # a denominator row runs on its task's graph
     objectives = np.bincount(owner, weights=num - den, minlength=len(plan.tasks)).tolist()
-    return objectives, accepted, em_logprobs, (num_occ - den_occ if occupancy else None)
+    return objectives, em_logprobs, (num_occ - den_occ if occupancy else None)
+
+
+def short_transcripts(plan: Plan, consequence: str = "") -> str:
+    """How many rows' numerators cannot fit their utterances, ``consequence``
+    and the first three transcripts; '' when all fit. A chain of k phones,
+    whose one final state is k, fits T >= 1 frames when 1 <= k <= T."""
+    k = plan.num[5].argmax(axis=1)
+    short = [" ".join(plan.rows[i].words) or "<empty>" for i in np.flatnonzero((k > plan.num[1]) | (k == 0))]
+    if not short:
+        return ""
+    head = f"{len(short)} transcripts need more frames than their utterances have"
+    if len(short) == 1:
+        head = "1 transcript needs more frames than its utterance has"
+    return f"{head}{consequence}: " + "; ".join(short[:3]) + ("; ..." if len(short) > 3 else "")
 
 
 def mmi_objective(
@@ -353,14 +393,12 @@ def mmi_gradient(
     matrix only its own task's. The order is fixed, so repeated runs are
     bit-identical, and the objective is multitask_objective's to the bit.
     An unreachable numerator adds -inf to it and nothing to the gradient,
-    and one warning counts such rows. ``plan`` is as in multitask_objective.
+    and one warning names such rows. ``plan`` is as in multitask_objective.
     """
     plan = plan or compile_plan(batches, tasks)
-    objectives, accepted, em_logprobs, diff = _plan_pass(plan, em, occupancy=True)
-    if not accepted.all():
-        short = [" ".join(plan.rows[i].words) or "<empty>" for i in np.flatnonzero(~accepted)]
-        msg = "%d transcripts need more frames than their utterances have, so they add -inf and no gradient: %s"
-        logger.warning(msg, len(short), "; ".join(short[:3]) + ("; ..." if len(short) > 3 else ""))
+    objectives, em_logprobs, diff = _plan_pass(plan, em, occupancy=True)
+    if note := short_transcripts(plan, ", which adds -inf to the objective and nothing to the gradient"):
+        logger.warning("%s", note)
     grad = EmissionModel.zeros(*em.shared.shape, em.bias)
     for task, d, lp in zip(plan.tasks, diff, em_logprobs):
         g = d - np.exp(lp) * d.sum(axis=1, keepdims=True)

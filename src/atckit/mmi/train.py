@@ -24,9 +24,9 @@ import numpy as np
 
 from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
 from ..mmi_base import DivergenceDetected
-from .graphs import OovWord, build_denominator, phone_bigram_counts
+from .graphs import build_denominator, phone_bigram_counts, transcript_phones
 from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance
-from .objective import compile_plan, mmi_gradient, multitask_objective
+from .objective import compile_plan, mmi_gradient, multitask_objective, short_transcripts
 
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
 DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
@@ -91,10 +91,8 @@ def toy_train(
             else:
                 objective = multitask_objective(corpus, tasks, model, plan)
             if not math.isfinite(objective):
-                # before the first update only the data can be at fault
-                cause = "a transcript needs more frames than its utterance has"
-                if step:
-                    cause = "the learning rate is too large, or " + cause
+                # before the first update only the data can be at fault, after it only the update
+                cause = "the learning rate is too large" if step else short_transcripts(plan)
                 raise DivergenceDetected(f"objective is {objective} after {step} steps: {cause}")
             drops = drops + 1 if trace and objective < trace[-1] else 0
             trace.append(objective)
@@ -162,12 +160,7 @@ def build_tasks(
     lexicon = {word: tuple(index[p] for p in seq) for word, seq in word_phones.items()}
     tasks = []
     for task_id in sorted(corpus):
-        phone_seqs = []
-        for utt in corpus[task_id]:
-            for word in utt.words:
-                if word not in lexicon:
-                    raise OovWord(f"task {task_id}: word {word!r} missing from lexicon")
-            phone_seqs.append([pid for word in utt.words for pid in lexicon[word]])
+        phone_seqs = [transcript_phones(utt.words, lexicon) for utt in corpus[task_id]]
         den = build_denominator(range(len(phones)), phone_bigram_counts(phone_seqs))
         tasks.append(MmiTask(task_id=task_id, phones=phones, lexicon=lexicon, den_graph=den, alpha=alpha))
     return tasks

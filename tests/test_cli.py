@@ -755,6 +755,22 @@ class TestMmiCli:
         assert code == 1
         assert manifest["error"] == "OovWord"
 
+    def test_transcripts_too_long_for_their_utterances_are_named(self, tmp_path, capsys, caplog):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with corpus.open("a", encoding="utf-8") as stream:
+            stream.write('{"task": 1, "symbols": [0], "words": ["ab"]}\n')
+            stream.write('{"task": 2, "symbols": [1, 0, 1], "words": ["ba", "ab"]}\n')
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, "--mode", "multitask", n_symbols="2")
+        assert code == 1
+        assert manifest["error"] == "DivergenceDetected"
+        assert manifest["message"] == (
+            "objective is -inf after 0 steps: "
+            "2 transcripts need more frames than their utterances have: ab; ba ab"
+        )
+        (record,) = caplog.records
+        assert record.getMessage().startswith("2 transcripts need more frames than their utterances have, which")
+        assert record.getMessage().endswith(": ab; ba ab")
+
 
 class TestHarness:
     def test_unknown_subcommand_is_a_usage_error(self):

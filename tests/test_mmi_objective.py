@@ -189,8 +189,8 @@ class TestMultitask:
         rng = random.Random(65)
         tasks, batches, em = random_instance(rng, n_tasks=2)
         tasks = [dataclasses.replace(t, alpha=0.5) for t in tasks]
-        # the pass yields each task's objective, then the accept mask, tables and occupancy
-        monkeypatch.setattr(objective, "_plan_pass", lambda plan, em, occupancy: ([-2.0, -4.0], None, None, None))
+        # the pass yields each task's objective, then the tables and occupancy
+        monkeypatch.setattr(objective, "_plan_pass", lambda plan, em, occupancy: ([-2.0, -4.0], None, None))
         assert multitask_objective(batches, tasks, em) == pytest.approx(-3.0)
 
     def test_single_task_weight_one_reduces_bitwise(self):
@@ -352,8 +352,9 @@ class TestBatchedPass:
 
     def test_underflowing_linear_sum_is_recomputed(self):
         # chain over phones 0, 1, 2 on three frames of symbol 0: the second
-        # and third frames each cost e^-1000, so the max-shifted linear sum
-        # feeding the last state underflows to 0 while the exact total is -2000
+        # and third frames each cost e^-1000, so a max-shifted linear sum
+        # feeding the last state would underflow to 0 while the exact total
+        # is -2000; the numerator chain steps in log space and keeps it
         logits = np.array([[0.0, -1000.0], [-1000.0, 0.0], [-1000.0, 0.0]])
         em = EmissionModel(shared=logits, bias={0: np.zeros((3, 2))})
         np.testing.assert_array_equal(em.log_probs(0), logits)
@@ -418,6 +419,60 @@ class TestBatchedPass:
             assert total == pytest.approx(ref_total, rel=1e-12)
             expected += ref_occ
         np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
+
+
+class TestChainNumerators:
+    @staticmethod
+    def random_plan(rng, n_phones=4, n_symbols=3):
+        lexicon = {f"w{i}": tuple(rng.randrange(n_phones) for _ in range(rng.randint(1, 3))) for i in range(5)}
+        task = simple_task(lexicon=lexicon, n_phones=n_phones)
+        batch = []
+        for k in range(8):
+            words = tuple(rng.choice(sorted(lexicon)) for _ in range(0 if k == 0 else rng.randint(1, 3)))
+            need = max(1, sum(len(lexicon[w]) for w in words))
+            symbols = tuple(rng.randrange(n_symbols) for _ in range(need + rng.randint(0, 4)))
+            batch.append(TrainingUtterance(0, symbols, words))
+        rng.shuffle(batch)
+        return task, batch
+
+    def test_plan_chains_equal_the_generic_state_form(self):
+        # the plan builds its numerators from the phones alone; they are the
+        # state form of build_numerator's graphs, with weights on two diagonals only
+        rng = random.Random(79)
+        for _ in range(20):
+            task, batch = self.random_plan(rng)
+            plan = objective.compile_plan({0: batch}, [task])
+            weights, phone, finals = _state_form([build_numerator(u.words, task.lexicon) for u in batch])
+            _, _, _, _, plan_phone, plan_finals, _, fwd, _ = plan.num
+            stay, advance = fwd.keywords["stay"], fwd.keywords["advance"]
+            np.testing.assert_array_equal(plan_phone, phone)
+            np.testing.assert_array_equal(plan_finals, finals)
+            np.testing.assert_array_equal(stay, np.diagonal(weights, axis1=1, axis2=2))
+            np.testing.assert_array_equal(advance[:, :-1], np.diagonal(weights, 1, axis1=1, axis2=2))
+            assert (advance[:, -1] == -np.inf).all()
+            q = weights.shape[1]
+            off = ~(np.eye(q, dtype=bool) | np.eye(q, k=1, dtype=bool))
+            assert (weights[:, off] == -np.inf).all()
+
+    def test_row_is_bitwise_the_same_alone_and_in_a_batch(self):
+        # the chain step is elementwise, so neither the other rows nor the
+        # padding to their states and frames change a row's bits
+        rng = random.Random(80)
+        for _ in range(10):
+            task, batch = self.random_plan(rng)
+            em = EmissionModel(
+                shared=np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(4)]),
+                bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])},
+            )
+            lp = em.log_probs(0)[None]
+            plan = objective.compile_plan({0: batch}, [task])
+            for i, utt in enumerate(batch):
+                alone = objective.compile_plan({0: [utt]}, [task])
+                total, occ = _forward_backward(alone.num, lp, occupancy=True)
+                mask = np.arange(len(batch)) == i
+                totals, batch_occ = _forward_backward(plan.num, lp, occupancy=True, counted=mask)
+                assert totals[i] == total[0]
+                np.testing.assert_array_equal(batch_occ, occ)
 
 
 def test_emission_rows_normalized_to_machine_precision():

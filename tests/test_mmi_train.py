@@ -108,15 +108,22 @@ class TestToyTrain:
         assert calls == {"mmi_gradient": 5, "multitask_objective": 1}
 
     def test_numerators_built_once_per_run(self, monkeypatch):
+        # the plan builds each numerator chain from one words -> phones
+        # lookup, with no graph, once per run
         import atckit.mmi.model as model
+        import atckit.mmi.objective as objective
 
-        built = []
-        build_numerator = model.build_numerator
+        built, looked_up = [], []
+        build_numerator, transcript_phones = model.build_numerator, objective.transcript_phones
         monkeypatch.setattr(model, "build_numerator", lambda *args: built.append(args) or build_numerator(*args))
+        monkeypatch.setattr(
+            objective, "transcript_phones", lambda *args: looked_up.append(args) or transcript_phones(*args)
+        )
         corpus = two_task_corpus()
         tasks = build_tasks(corpus, WORD_PHONES)
         toy_train(tasks, corpus, n_symbols=2, steps=3, learning_rate=0.1)
-        assert len(built) == sum(len(batch) for batch in corpus.values())
+        assert built == []
+        assert [words for words, _ in looked_up] == [utt.words for tid in sorted(corpus) for utt in corpus[tid]]
 
     def test_non_finite_objective_is_divergence(self):
         corpus = {1: [TrainingUtterance(1, (0,), ("ab",))]}  # two phones cannot fit one frame
@@ -124,7 +131,7 @@ class TestToyTrain:
         with pytest.raises(DivergenceDetected, match="-inf after 0 steps") as excinfo:
             toy_train(tasks, corpus, n_symbols=2, steps=3, learning_rate=0.1)
         # no update has been applied yet, so the learning rate cannot be the cause
-        assert str(excinfo.value).endswith(": a transcript needs more frames than its utterance has")
+        assert str(excinfo.value).endswith(": 1 transcript needs more frames than its utterance has: ab")
 
     def test_divergence_guard_trips_on_descent(self):
         corpus = two_task_corpus()
