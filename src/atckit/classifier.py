@@ -84,23 +84,17 @@ class RoleLexicon:
             raise CorpusFormatError(f"words listed for both roles: {sorted(overlap)}")
 
 
-def _earliest(tokens: tuple[str, ...], words: frozenset[str]) -> tuple[int, str] | None:
-    for i, tok in enumerate(tokens):
-        if tok in words:
-            return i, tok
-    return None
-
-
 def _keyword_decision(
     tokens: tuple[str, ...], lexicon: RoleLexicon
 ) -> tuple[RoleLabel, ClassificationTrace] | None:
-    atco_hit = _earliest(tokens, lexicon.atco_words)
-    pilot_hit = _earliest(tokens, lexicon.pilot_words)
-    if atco_hit is None and pilot_hit is None:
-        return None
-    if pilot_hit is None or (atco_hit is not None and atco_hit[0] < pilot_hit[0]):
-        return RoleLabel.ATCO, ClassificationTrace(FiredRule.ATCO_KEYWORD, atco_hit[1])
-    return RoleLabel.PILOT, ClassificationTrace(FiredRule.PILOT_KEYWORD, pilot_hit[1])
+    """The first token in either word list decides; the lists are disjoint."""
+    atco, pilot = lexicon.atco_words, lexicon.pilot_words
+    for tok in tokens:
+        if tok in atco:
+            return RoleLabel.ATCO, ClassificationTrace(FiredRule.ATCO_KEYWORD, tok)
+        if tok in pilot:
+            return RoleLabel.PILOT, ClassificationTrace(FiredRule.PILOT_KEYWORD, tok)
+    return None
 
 
 def _callsign_decision(

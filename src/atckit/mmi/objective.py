@@ -122,38 +122,24 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     weights, parallel arcs combined by logaddexp, -inf for no arc),
     phone [G, Q] and finals [G, Q], one row per graph.
     """
-    sizes = np.array([g.n_states for g in graphs], dtype=np.intp)
-    offset = np.cumsum(sizes) - sizes  # global id of each graph's state 0
-    arcs = np.concatenate([np.zeros(0, ARC_DTYPE), *(g.arcs for g in graphs)])
-    owner = np.repeat(np.arange(len(graphs)), [len(g.arcs) for g in graphs])
-    src, dst = arcs["src"] + offset[owner], arcs["dst"] + offset[owner]
-    span = int(arcs["phone"].max(initial=0)) + 1
-    # one split state per distinct (global destination, phone); sorted by
-    # destination, each graph's split states are contiguous
-    keys, col = np.unique(dst * span + arcs["phone"], return_inverse=True)
-    origin = keys // span  # the global state each split state copies
-    kgraph = np.searchsorted(offset, origin, side="right") - 1
-    per_graph = np.bincount(kgraph, minlength=len(graphs))
-    local = np.arange(len(keys)) - np.repeat(np.cumsum(per_graph) - per_graph, per_graph) + 1
-    # transitions: from each split state every arc leaving its origin (arcs
-    # sorted by source, each origin's run concatenated), from each start
-    # every arc leaving it
-    order = np.argsort(src, kind="stable")
-    first = np.searchsorted(src[order], np.arange(sizes.sum() + 1))
-    counts = first[origin + 1] - first[origin]
-    from_split = order[np.repeat(first[origin] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())]
-    from_start = np.flatnonzero(src == offset[owner])
-    via = np.concatenate([from_split, from_start])
-    rows = np.concatenate([local[np.repeat(np.arange(len(keys)), counts)], np.zeros(len(from_start), np.intp)])
-    q = 1 + int(per_graph.max(initial=0))
-    weights = np.full((len(graphs), q, q), -np.inf)
-    np.logaddexp.at(weights, (owner[via], rows, local[col[via]]), arcs["weight"][via])
-    phone = np.zeros((len(graphs), q), dtype=np.intp)
-    phone[kgraph, local] = keys % span
-    all_finals = np.concatenate([np.zeros(0), *(g.finals for g in graphs)])
-    finals = np.full((len(graphs), q), -np.inf)
-    finals[:, 0] = all_finals[offset]
-    finals[kgraph, local] = all_finals[origin]
+    blocks = []
+    for g in graphs:
+        src, dst, label, weight = (g.arcs[f] for f in ARC_DTYPE.names)
+        span = int(label.max(initial=0)) + 1
+        # the split states in (state, phone) order after the start, and the state each copies
+        keys, col = np.unique(dst * span + label, return_inverse=True)
+        copy = np.concatenate([[0], keys // span])
+        # every arc leaving the state a local state copies leaves that local state
+        row, arc = np.nonzero(copy[:, None] == src)
+        w = np.full((len(copy), len(copy)), -np.inf)
+        np.logaddexp.at(w, (row, 1 + col[arc]), weight[arc])
+        blocks.append((w, np.concatenate([[0], keys % span]), g.finals[copy]))
+    n, q = len(graphs), max((len(b[1]) for b in blocks), default=1)
+    weights = np.full((n, q, q), -np.inf)
+    phone = np.zeros((n, q), dtype=np.intp)
+    finals = np.full((n, q), -np.inf)
+    for i, (w, p, f) in enumerate(blocks):
+        weights[i, : len(p), : len(p)], phone[i, : len(p)], finals[i, : len(p)] = w, p, f
     return weights, phone, finals
 
 
@@ -340,16 +326,23 @@ def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
 
 def short_transcripts(plan: Plan, consequence: str = "") -> str:
     """How many rows' numerators cannot fit their utterances, ``consequence``
-    and the first three transcripts; '' when all fit. A chain of k phones,
-    whose one final state is k, fits T >= 1 frames when 1 <= k <= T."""
+    and the first three transcripts too long to fit; '' when all fit. A chain
+    of k phones, whose one final state is k, fits T >= 1 frames when
+    1 <= k <= T, so an empty transcript fits none."""
     k = plan.num[5].argmax(axis=1)
-    short = [" ".join(plan.rows[i].words) or "<empty>" for i in np.flatnonzero((k > plan.num[1]) | (k == 0))]
-    if not short:
-        return ""
-    head = f"{len(short)} transcripts need more frames than their utterances have"
-    if len(short) == 1:
-        head = "1 transcript needs more frames than its utterance has"
-    return f"{head}{consequence}: " + "; ".join(short[:3]) + ("; ..." if len(short) > 3 else "")
+    long = [" ".join(plan.rows[i].words) for i in np.flatnonzero(k > plan.num[1])]
+    empty = int(np.count_nonzero(k == 0))
+    heads = []
+    if len(long) == 1:
+        heads.append("1 transcript needs more frames than its utterance has")
+    elif long:
+        heads.append(f"{len(long)} transcripts need more frames than their utterances have")
+    if empty == 1:
+        heads.append("1 transcript is empty and fits no frame")
+    elif empty:
+        heads.append(f"{empty} transcripts are empty and fit no frame")
+    names = ": " + "; ".join(long[:3]) + ("; ..." if len(long) > 3 else "") if long else ""
+    return ", and ".join(heads) + consequence + names if heads else ""
 
 
 def mmi_objective(

@@ -46,6 +46,9 @@ from synth import (
     write_corpus,
 )
 
+# an inf - inf in the -inf arithmetic of the MMI recursions warns before it spreads NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def report(name: str, ok: bool, detail: str = "") -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] {name}"

@@ -771,6 +771,20 @@ class TestMmiCli:
         assert record.getMessage().startswith("2 transcripts need more frames than their utterances have, which")
         assert record.getMessage().endswith(": ab; ba ab")
 
+    def test_empty_transcript_is_named_empty(self, tmp_path, capsys, caplog):
+        # a one-state numerator fits no frame, so it needs fewer frames, not more
+        corpus, lexicon = self.write_training_files(tmp_path)
+        corpus.write_text('{"task": 1, "symbols": [0, 1], "words": []}\n', encoding="utf-8")
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, n_symbols="2")
+        assert code == 1
+        assert manifest["error"] == "DivergenceDetected"
+        assert manifest["message"] == "objective is -inf after 0 steps: 1 transcript is empty and fits no frame"
+        assert "needs more frames" not in manifest["message"]
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "1 transcript is empty and fits no frame, which adds -inf to the objective and nothing to the gradient"
+        )
+
 
 class TestHarness:
     def test_unknown_subcommand_is_a_usage_error(self):

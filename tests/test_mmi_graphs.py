@@ -10,6 +10,9 @@ from atckit.mmi import (
     phone_bigram_counts,
 )
 
+# an inf - inf in the -inf arithmetic of the MMI recursions warns before it spreads NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LEX = {"ab": (0, 1), "ba": (1, 0)}
 INF = math.inf
 

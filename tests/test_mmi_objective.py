@@ -20,11 +20,15 @@ from atckit.mmi import (
     mmi_objective,
     multitask_objective,
     objective,
+    phone_bigram_counts,
 )
 from atckit.mmi.check import random_graph, random_instance
 from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form, _sweep
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
+
+# an inf - inf in the -inf arithmetic of the MMI recursions warns before it spreads NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LEX = {"ab": (0, 1), "ba": (1, 0)}
 
@@ -329,6 +333,29 @@ class TestGradient:
             np.testing.assert_array_equal(g1.bias[tid], g2.bias[tid])
 
 
+def assert_gradient_matches_generic(den, batch, rng):
+    """mmi_gradient on a two-phone task with denominator ``den`` against
+    emission_occupancy, under a random model drawn from ``rng``."""
+    task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0)
+    em = EmissionModel(
+        shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]),
+        bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])},
+    )
+    grad, objective = mmi_gradient({0: batch}, [task], em)
+    lp = em.log_probs(0)
+    expected, diff = 0.0, np.zeros(lp.shape)
+    for utt in batch:
+        occ_den, den_total = emission_occupancy(den, lp, utt.symbols)
+        occ_num, num_total = emission_occupancy(task.numerator_graph(utt.words), lp, utt.symbols)
+        expected += num_total - den_total
+        diff += occ_num - occ_den
+    g = diff - np.exp(lp) * diff.sum(axis=1, keepdims=True)
+    assert objective == pytest.approx(expected, rel=1e-12)
+    assert mmi_objective(batch, task, em) == objective
+    for got in (grad.shared, grad.bias[0]):
+        np.testing.assert_allclose(got, g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+
 class TestBatchedPass:
     @pytest.mark.parametrize("n_tasks, n_phones", [(2, 20), (3, 16)])
     def test_shared_graph_rows_do_not_depend_on_other_rows(self, n_tasks, n_phones):
@@ -379,30 +406,44 @@ class TestBatchedPass:
         arcs = [(0, 1, 0, -0.3), (0, 2, 1, -1.2), (1, 2, 1, -0.7), (2, 1, 1, -0.4), (1, 1, 0, -0.9), (2, 2, 0, -0.2)]
         den = HmmGraph(arcs, [-math.inf, 0.0, -0.5])
         assert _state_form([den])[0].shape == (1, 5, 5)
-        task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0)
-        rng = random.Random(75)
-        em = EmissionModel(
-            shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]),
-            bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])},
-        )
         batch = [
             TrainingUtterance(0, (0, 1, 2), ("ab",)),
             TrainingUtterance(0, (2, 0, 0, 1, 1), ("ba",)),
             TrainingUtterance(0, (1, 0), ("ab",)),
         ]
-        grad, objective = mmi_gradient({0: batch}, [task], em)
-        lp = em.log_probs(0)
-        expected, diff = 0.0, np.zeros(lp.shape)
-        for utt in batch:
-            occ_den, den_total = emission_occupancy(den, lp, utt.symbols)
-            occ_num, num_total = emission_occupancy(task.numerator_graph(utt.words), lp, utt.symbols)
-            expected += num_total - den_total
-            diff += occ_num - occ_den
-        g = diff - np.exp(lp) * diff.sum(axis=1, keepdims=True)
-        assert objective == pytest.approx(expected, rel=1e-12)
-        assert mmi_objective(batch, task, em) == objective
-        for got in (grad.shared, grad.bias[0]):
-            np.testing.assert_allclose(got, g, rtol=0, atol=1e-12 * np.abs(g).max())
+        assert_gradient_matches_generic(den, batch, random.Random(75))
+
+    def test_arcs_back_into_the_start_match_generic(self):
+        # arcs enter the final start state 0 with phone 1 (from 1 and its
+        # self-loop) and with phone 0 (from 2), so two split states copy the
+        # start: they leave by its arcs and keep its final weight; state 2
+        # is entered by phone 1 (from 1 and its self-loop) and phone 0 (from 0)
+        arcs = [(0, 1, 0, -0.3), (1, 0, 1, -0.6), (0, 0, 1, -1.4), (1, 2, 1, -0.8)]
+        arcs += [(0, 2, 0, -1.1), (2, 0, 0, -0.5), (2, 2, 1, -0.2)]
+        den = HmmGraph(arcs, [-0.7, -math.inf, 0.0])
+        weights, phone, finals = _state_form([den])
+        assert weights.shape == (1, 6, 6)
+        assert phone.tolist() == [[0, 0, 1, 0, 0, 1]]
+        assert finals.tolist() == [[-0.7, -0.7, -0.7, -math.inf, 0.0, 0.0]]
+        batch = [
+            TrainingUtterance(0, (0, 1, 2, 1), ("ab",)),
+            TrainingUtterance(0, (2, 0, 0, 1, 1, 2), ("ba", "ab")),
+            TrainingUtterance(0, (1, 0), ("ba",)),
+        ]
+        assert_gradient_matches_generic(den, batch, random.Random(76))
+
+    def test_denominator_state_form_layout(self):
+        # a builder denominator keeps its state count: split state 1+j copies
+        # state 1+j, entered only by phone j
+        n = 5
+        den = build_denominator(range(n), phone_bigram_counts([[0, 1, 2, 1, 0], [3, 3, 4, 1], [2, 0]]))
+        weights, phone, finals = _state_form([den])
+        assert weights.shape == (1, n + 1, n + 1)
+        assert (weights[:, :, 0] == -math.inf).all()
+        assert (weights[0, 0, 1:] == -math.log(n)).all()
+        np.testing.assert_array_equal(weights[0, 1:, 1:], den.arcs["weight"][n:].reshape(n, n))
+        assert phone.tolist() == [[0, *range(n)]]
+        assert finals.tolist() == [[-math.inf] + [0.0] * n]
 
     def test_arc_weights_beyond_exp_range_match_generic(self):
         # exp(800) overflows and exp(-800) underflows; the batched pass

@@ -20,6 +20,9 @@ from atckit.mmi import (
     toy_train,
 )
 
+# an inf - inf in the -inf arithmetic of the MMI recursions warns before it spreads NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 WORD_PHONES = {"ab": ("a", "b"), "ba": ("b", "a")}
 
 
