@@ -211,8 +211,8 @@ def load_telephony_lexicon(path: str | Path) -> TelephonyLexicon:
     """Load a lexicon from TSV: ``ICAO_CODE<TAB>spoken designator`` per line.
 
     ``#`` starts a comment (full-line or trailing); blank lines are
-    ignored. Designators are lowercased and may span several words. The
-    result is a read-only mapping.
+    ignored. Designators are lowercased and may span several words. Each
+    code appears once. The result is a read-only mapping.
     """
     return _parse_telephony(Path(path).read_text(encoding="utf-8"), source=str(path))
 
@@ -228,6 +228,8 @@ def _parse_telephony(text: str, source: str = "<string>") -> TelephonyLexicon:
             raise CorpusFormatError(f"{source}:{lineno}: bad airline code {code!r}")
         if not tokens:
             raise CorpusFormatError(f"{source}:{lineno}: empty designator for {code}")
+        if code in entries:
+            raise CorpusFormatError(f"{source}:{lineno}: repeated airline code {code}")
         entries[code] = tokens
     return MappingProxyType(entries)
 

@@ -157,37 +157,33 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerBreakdown:
     Both sequences must already be normalized by the caller. The total is
     the standard unit-cost edit distance. Among equal-cost alignments the
     one with the most substitutions is reported (substitution preferred
-    over a deletion-insertion pair), found by a lexicographic dynamic
-    program that minimizes edits and then maximizes aligned word pairs.
-    That choice pins the S/D/I split deterministically, never changes the
-    total, and keeps the split symmetric: swapping the arguments swaps
-    deletions with insertions and leaves substitutions alone.
+    over a deletion-insertion pair), that is, the one with the most aligned
+    word pairs. That choice pins the S/D/I split deterministically, never
+    changes the total, and keeps the split symmetric: swapping the arguments
+    swaps deletions with insertions and leaves substitutions alone. The
+    Wagner-Fischer table keeps one integer per cell, ``edits * k - pairs``
+    with ``k = min(n, m) + 1``: a cell has fewer than ``k`` aligned pairs,
+    so the smallest integer has the fewest edits and, among those, the most
+    pairs.
     """
     n, m = len(ref), len(hyp)
     if n == 0:
         if m > 0:
             raise EmptyReference(f"empty reference against {m} hypothesis words")
         return WerBreakdown()
-    # per cell: (edit cost, aligned diagonal moves along one optimal path)
-    cost_prev = list(range(m + 1))
-    diag_prev = [0] * (m + 1)
-    for i in range(1, n + 1):
-        cost_cur = [i]
-        diag_cur = [0]
-        ref_word = ref[i - 1]
-        for j in range(1, m + 1):
-            best_c = cost_prev[j - 1] + (ref_word != hyp[j - 1])
-            best_d = diag_prev[j - 1] + 1
-            c, d = cost_prev[j] + 1, diag_prev[j]
-            if c < best_c or (c == best_c and d > best_d):
-                best_c, best_d = c, d
-            c, d = cost_cur[j - 1] + 1, diag_cur[j - 1]
-            if c < best_c or (c == best_c and d > best_d):
-                best_c, best_d = c, d
-            cost_cur.append(best_c)
-            diag_cur.append(best_d)
-        cost_prev, diag_prev = cost_cur, diag_cur
-    total, diag = cost_prev[m], diag_prev[m]
+    k = min(n, m) + 1
+    prev = list(range(0, (m + 1) * k, k))
+    for i, ref_word in enumerate(ref, 1):
+        left = i * k
+        cur = [left]
+        for hyp_word, corner, up in zip(hyp, prev, prev[1:]):
+            pair = corner - 1 if ref_word == hyp_word else corner + k - 1
+            gap = (up if up < left else left) + k
+            left = gap if gap < pair else pair
+            cur.append(left)
+        prev = cur
+    total = -(-prev[m] // k)  # ceil, as 0 <= pairs < k
+    diag = total * k - prev[m]
     # with the diagonal count fixed, the split is determined algebraically
     return WerBreakdown(
         substitutions=total + 2 * diag - n - m,

@@ -105,7 +105,7 @@ def toy_train(
 
 
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Word-to-phones map from TSV: ``word<TAB>phone phone ...`` per line."""
+    """Word-to-phones map from TSV: ``word<TAB>phone phone ...`` per line, each word once."""
     lexicon: dict[str, tuple[str, ...]] = {}
     for lineno, line in iter_lexicon_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split("\t")
@@ -114,6 +114,8 @@ def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
         word, phones = parts[0].strip(), tuple(parts[1].split())
         if not word or not phones:
             raise CorpusFormatError(f"{path}:{lineno}: empty word or phone list")
+        if word in lexicon:
+            raise CorpusFormatError(f"{path}:{lineno}: repeated word {word!r}")
         lexicon[word] = phones
     if not lexicon:
         raise CorpusFormatError(f"{path}: no entries, so the phone inventory is empty")

@@ -269,6 +269,31 @@ def edit_distance(a, b) -> int:
     return prev[-1]
 
 
+def wer_split_oracle(ref, hyp) -> tuple[int, int, int]:
+    """(substitutions, deletions, insertions) of an alignment with the fewest
+    edits and, among those, the most aligned pairs, by memoized recursion over
+    suffixes that counts each kind of edit as it takes it."""
+    memo = {}
+
+    def best(i, j):  # min of (edits, -pairs, S, D, I) over ref[i:] against hyp[j:]
+        if (i, j) not in memo:
+            options = []
+            if i < len(ref) and j < len(hyp):
+                e, p, s, d, n = best(i + 1, j + 1)
+                miss = ref[i] != hyp[j]
+                options.append((e + miss, p - 1, s + miss, d, n))
+            if i < len(ref):
+                e, p, s, d, n = best(i + 1, j)
+                options.append((e + 1, p, s, d + 1, n))
+            if j < len(hyp):
+                e, p, s, d, n = best(i, j + 1)
+                options.append((e + 1, p, s, d, n + 1))
+            memo[i, j] = min(options) if options else (0, 0, 0, 0, 0)
+        return memo[i, j]
+
+    return best(0, 0)[2:]
+
+
 # --------------------------------------------------------------------- MMI
 
 

@@ -90,6 +90,14 @@ class TestExpand:
         assert code == 1
         assert manifest["error"] == "MalformedCallsign"
 
+    def test_repeated_telephony_code_is_a_data_error(self, tmp_path, capsys):
+        telephony = tmp_path / "telephony.tsv"
+        write_lines(telephony, ["TVS\tskytravel", "TVS\tczech"])
+        code, manifest, _ = run_cli(capsys, ["expand", "--callsign", "TVS84J", "--telephony", str(telephony)])
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert manifest["message"].startswith(f"{telephony}:2: repeated airline code")
+
     def test_pretty_appends_readable_lines(self, capsys):
         code, _, out = run_cli(capsys, ["expand", "--callsign", "TVS8", "--pretty"])
         assert code == 0
@@ -697,6 +705,14 @@ class TestMmiCli:
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
         assert f"{corpus}:6:" in manifest["message"]
+
+    def test_repeated_lexicon_word_is_a_data_error(self, tmp_path, capsys):
+        corpus, lexicon = self.write_training_files(tmp_path)
+        write_lines(lexicon, ["ab\ta b", "ba\tb a", "ab\ta"])
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon)
+        assert code == 1
+        assert manifest["error"] == "CorpusFormatError"
+        assert manifest["message"].startswith(f"{lexicon}:3: repeated word")
 
     def test_empty_lexicon_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)

@@ -13,7 +13,7 @@ from atckit.evaluation import (
     wer_corpus,
 )
 
-from synth import edit_distance
+from synth import edit_distance, wer_split_oracle
 
 A, P = RoleLabel.ATCO, RoleLabel.PILOT
 
@@ -127,11 +127,15 @@ class TestWer:
     def test_breakdown_invariants_on_random_pairs(self):
         rng = random.Random(53)
         vocab = ["a", "b", "c", "d"]
+        pairs = [(["a"], []), (["a"], ["a"]), (["a"], ["b"]), (["a"], ["b", "a", "c"]), (["a", "b"], [])]
         for _ in range(300):
             ref = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            pairs.append((ref, hyp))
+        for ref, hyp in pairs:
             out = wer(ref, hyp)
             assert out.total_edits == edit_distance(ref, hyp)
+            assert (out.substitutions, out.deletions, out.insertions) == wer_split_oracle(ref, hyp)
             assert out.substitutions + out.deletions <= out.ref_words
             assert out.ref_words + out.insertions - out.deletions == len(hyp)
 
