@@ -197,16 +197,6 @@ def expand_callsign(
     )
 
 
-def spoken_alphabet(lexicon: TelephonyLexicon) -> frozenset[str]:
-    """Closed token universe variants draw from: designators, phonetic words, digits."""
-    return (
-        frozenset(tok for designator in lexicon.values() for tok in designator)
-        | frozenset(NATO_ALPHABET.values())
-        | frozenset(DIGIT_WORDS.values())
-        | frozenset(ICAO_DIGIT_ALTERNATES.values())
-    )
-
-
 def load_telephony_lexicon(path: str | Path) -> TelephonyLexicon:
     """Load a lexicon from TSV: ``ICAO_CODE<TAB>spoken designator`` per line.
 

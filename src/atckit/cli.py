@@ -40,7 +40,7 @@ from .mmi_base import DEFAULT_TASK_WEIGHT, DivergenceDetected, NoPath, OovWord
 # bad input, never a program bug: each of these maps to exit code 1
 _DATA_ERRORS = (
     MalformedCallsign, CorpusFormatError, EmptyReference, OovWord, NoPath, DivergenceDetected,
-    OSError, UnicodeDecodeError,
+    OSError, UnicodeDecodeError, MemoryError,
 )
 
 # The MMI engine imports numpy, about half of a text subcommand's start-up,
@@ -300,15 +300,16 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _number(convert, non_negative: bool = True):
-    """argparse type: ``convert(text)``, refused with a usage error when not
-    finite (nan, inf, -inf) or, with ``non_negative``, below zero."""
+def _number(convert, non_negative: bool = True, at_most: float = math.inf):
+    """argparse type: ``convert(text)``, refused with a usage error when not finite
+    (nan, inf, -inf), above ``at_most`` or, with ``non_negative``, below zero."""
     wanted = "a non-negative finite number" if non_negative else "a finite number"
+    wanted += f" at most {at_most}" if at_most < math.inf else ""
 
     def parse(text: str):
         value = convert(text)
         # comparisons never overflow on large ints, and nan fails both
-        if not (-math.inf < value < math.inf) or (non_negative and value < 0):
+        if not (-math.inf < value < math.inf) or value > at_most or (non_negative and value < 0):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_number(int), default=200)
     p.add_argument("--learning-rate", type=_number(float, non_negative=False), default=0.1)
     p.add_argument("--alpha", type=_number(float), default=DEFAULT_TASK_WEIGHT, help="task weight (multitask mode)")
-    p.add_argument("--n-symbols", type=_number(int), required=True, help="symbol inventory size")
+    p.add_argument("--n-symbols", type=_number(int, at_most=2**31 - 1), required=True, help="symbol inventory size")
     p.add_argument("--out", help="write trained parameters as .npz")
     p.set_defaults(handler=_cmd_mmi_train)
 

@@ -276,9 +276,10 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
     """The batched forward-backward that training runs agrees with the
     arc-generic forward and occupancy, sequence by sequence.
 
-    Each instance runs four batches: random arc-emitting graphs, whose
-    states the batched pass must split by entering phone, one per sequence
-    and one shared; and both sweeps of a two-task plan, with one utterance
+    Each instance runs four batches: random state-emitting graphs, one per
+    sequence and one shared, each random_graph's draw without its arcs into
+    state 0 and with every arc relabelled by its destination's phone
+    (dst % n_phones); and both sweeps of a two-task plan, with one utterance
     too short for its numerator and one with an empty transcript. Totals are
     compared relative to max(1, |total|), the summed occupancy relative to
     max(1, its largest entry); a sequence the generic forward rejects must
@@ -288,7 +289,8 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
     for _ in range(instances):
         n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
         logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
-        graphs = [random_graph(rng, rng.randint(1, 4), n_phones) for _ in range(3)]
+        drawn = [random_graph(rng, rng.randint(1, 4), n_phones) for _ in range(3)]
+        graphs = [HmmGraph([(s, d, d % n_phones, w) for s, d, _, w in g.arcs.tolist() if d], g.finals) for g in drawn]
         seqs = [tuple(rng.randrange(n_symbols) for _ in range(rng.randint(0, 5))) for _ in graphs]
         tasks, batches, em = random_instance(rng, n_tasks=2)
         batches[2].append(TrainingUtterance(2, (0,), tuple(sorted(tasks[1].lexicon)) * 2))  # too short

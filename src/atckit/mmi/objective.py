@@ -5,9 +5,9 @@ likelihood to the denominator-graph likelihood; per task it sums over that
 task's utterances; the multitask objective is the task-weighted sum.
 
 Training compiles its batches once (compile_plan), then runs one batched
-forward-backward per graph kind and pass over the rows of every task, with
-the graphs in a state-emitting form: every state is split by the phone on
-the arcs entering it, so the emission term factors out of the recursion,
+forward-backward per graph kind and pass over the rows of every task. The
+graphs are state-emitting (no arc enters the start, and all the arcs into a
+state carry the phone it emits), so the emission term factors out,
 
     alpha_t = E[task, phone, x_t] + logmatmul(alpha_{t-1}, W),
 
@@ -112,34 +112,26 @@ def emission_occupancy(
 
 
 def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The graphs as state-emitting acceptors, padded to one size Q.
-
-    Split state (s, p) copies arc-emitting state s for the arcs that enter
-    it labelled p, and leaves by every arc that leaves s; local state 0 is
-    the start, which no arc enters and which emits nothing. The split is
-    exact for any graph, and a builder graph keeps its state count, since
-    its arcs into a state all carry one phone. Returns W [G, Q, Q] (log
-    weights, parallel arcs combined by logaddexp, -inf for no arc),
-    phone [G, Q] and finals [G, Q], one row per graph.
-    """
-    blocks = []
-    for g in graphs:
+    """The graphs as they are, padded to one size Q: W [G, Q, Q] (log
+    weights, parallel arcs combined by logaddexp in arc order, -inf for no
+    arc), phone [G, Q] and finals [G, Q], one row per graph. Raises
+    ValueError naming the first graph that is not state-emitting: one with
+    an arc into the start state 0, or with two phones into one state, as
+    no builder graph has."""
+    q = max((g.n_states for g in graphs), default=1)
+    weights = np.full((len(graphs), q, q), -np.inf)
+    phone = np.zeros((len(graphs), q), dtype=np.intp)
+    finals = np.full((len(graphs), q), -np.inf)
+    for i, g in enumerate(graphs):
         src, dst, label, weight = (g.arcs[f] for f in ARC_DTYPE.names)
-        span = int(label.max(initial=0)) + 1
-        # the split states in (state, phone) order after the start, and the state each copies
-        keys, col = np.unique(dst * span + label, return_inverse=True)
-        copy = np.concatenate([[0], keys // span])
-        # every arc leaving the state a local state copies leaves that local state
-        row, arc = np.nonzero(copy[:, None] == src)
-        w = np.full((len(copy), len(copy)), -np.inf)
-        np.logaddexp.at(w, (row, 1 + col[arc]), weight[arc])
-        blocks.append((w, np.concatenate([[0], keys % span]), g.finals[copy]))
-    n, q = len(graphs), max((len(b[1]) for b in blocks), default=1)
-    weights = np.full((n, q, q), -np.inf)
-    phone = np.zeros((n, q), dtype=np.intp)
-    finals = np.full((n, q), -np.inf)
-    for i, (w, p, f) in enumerate(blocks):
-        weights[i, : len(p), : len(p)], phone[i, : len(p)], finals[i, : len(p)] = w, p, f
+        if (dst == 0).any():
+            raise ValueError(f"graph {i} is not state-emitting: an arc enters the start state 0")
+        phone[i, dst] = label
+        clash = dst[phone[i, dst] != label]
+        if clash.size:
+            raise ValueError(f"graph {i} is not state-emitting: more than one phone enters state {clash[0]}")
+        np.logaddexp.at(weights[i], (src, dst), weight)
+        finals[i, : g.n_states] = g.finals
     return weights, phone, finals
 
 
@@ -220,8 +212,8 @@ def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], tab
 
 def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequence[int]], table) -> tuple:
     """Row b's numerator, the chain over phone_seqs[b] on table table[b], as
-    _sweep gives build_numerator's graph, but stepped by _chain_step on the
-    two diagonals of its weights, stay and advance [B, Q]: 0 or -inf."""
+    _sweep reads build_numerator's graph (state q > 0 emits phone q - 1), but
+    stepped by _chain_step on its two diagonals, stay and advance [B, Q]: 0 or -inf."""
     k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
     state = np.arange(1 + int(k.max(initial=0)))
     emitting = (state >= 1) & (state <= k)

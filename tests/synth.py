@@ -15,7 +15,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from atckit.callsign import MalformedCallsign, expand_callsign, parse_callsign, spoken_alphabet
+from atckit.callsign import (
+    DIGIT_WORDS,
+    ICAO_DIGIT_ALTERNATES,
+    NATO_ALPHABET,
+    MalformedCallsign,
+    expand_callsign,
+    parse_callsign,
+)
 from atckit.corpus import RoleLabel, Utterance
 
 # Filler words must not collide with any spoken-variant token or any role
@@ -28,6 +35,16 @@ _FILLER_CANDIDATES = (
 ).split()
 
 _CODE_LETTERS = string.ascii_uppercase
+
+
+def spoken_alphabet(telephony) -> frozenset[str]:
+    """Closed token universe variants draw from: designators, phonetic words, digits."""
+    return (
+        frozenset(tok for designator in telephony.values() for tok in designator)
+        | frozenset(NATO_ALPHABET.values())
+        | frozenset(DIGIT_WORDS.values())
+        | frozenset(ICAO_DIGIT_ALTERNATES.values())
+    )
 
 
 def safe_fillers(role_lexicon, telephony) -> tuple[str, ...]:

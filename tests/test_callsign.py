@@ -14,7 +14,6 @@ from atckit.callsign import (
     expand_callsign,
     nato_letter,
     parse_callsign,
-    spoken_alphabet,
     spoken_digit,
     spoken_tail,
     written_chars,
@@ -22,7 +21,7 @@ from atckit.callsign import (
 
 from atckit.corpus import CorpusFormatError
 
-from synth import random_callsign_raw
+from synth import random_callsign_raw, spoken_alphabet
 
 
 def variant_texts(variants):

@@ -747,6 +747,29 @@ class TestMmiCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {option}: must be {wanted}" in err
 
+    def test_oversized_symbol_count_is_a_usage_error(self, tmp_path, capsys):
+        # no host holds emission tables this wide; the parser refuses it before any array exists
+        corpus, lexicon = self.write_training_files(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mmi-train", "--corpus", str(corpus), "--lexicon", str(lexicon), "--n-symbols", str(10**15)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --n-symbols: must be a non-negative finite number at most 2147483647" in err
+
+    def test_out_of_memory_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for an allocation too large for the host, which a test must not make
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "toy_train", out_of_memory)
+        corpus, lexicon = self.write_training_files(tmp_path)
+        code, manifest, _ = self.run_train(capsys, corpus, lexicon, n_symbols="2")
+        assert code == 1
+        assert manifest["error"] == "MemoryError"
+        assert manifest["message"] == "Unable to allocate 14.6 TiB for an array"
+        assert "result" not in manifest
+
     def test_train_calls_toy_train_as_bound_on_the_module(self, tmp_path, capsys, monkeypatch):
         # perfbench's tracer replaces cli.toy_train to record training spans
         calls = []

@@ -399,13 +399,16 @@ class TestBatchedPass:
         _, objective = mmi_gradient({0: [utt]}, [task], em)
         assert objective == value
 
-    def test_state_entered_by_two_phones_matches_generic(self):
-        # state 1 is entered by phone 0 (from 0 and its self-loop) and by
-        # phone 1 (from 2); state 2 by phone 1 (from 0 and 1) and by phone 0
-        # (its self-loop); the batched pass splits each in two
-        arcs = [(0, 1, 0, -0.3), (0, 2, 1, -1.2), (1, 2, 1, -0.7), (2, 1, 1, -0.4), (1, 1, 0, -0.9), (2, 2, 0, -0.2)]
+    def test_parallel_arcs_match_generic(self):
+        # two arcs 0 -> 1 combine into one state-form weight; state 1 emits
+        # phone 0 and state 2 phone 1, whatever arc enters them
+        arcs = [(0, 1, 0, -0.3), (0, 2, 1, -1.2), (1, 2, 1, -0.7), (2, 1, 0, -0.4), (0, 1, 0, -1.1)]
+        arcs += [(1, 1, 0, -0.9), (2, 2, 1, -0.2)]
         den = HmmGraph(arcs, [-math.inf, 0.0, -0.5])
-        assert _state_form([den])[0].shape == (1, 5, 5)
+        weights, phone, finals = _state_form([den])
+        assert weights[0, 0, 1] == np.logaddexp(-0.3, -1.1)
+        assert phone.tolist() == [[0, 0, 1]]
+        assert finals.tolist() == [[-math.inf, 0.0, -0.5]]
         batch = [
             TrainingUtterance(0, (0, 1, 2), ("ab",)),
             TrainingUtterance(0, (2, 0, 0, 1, 1), ("ba",)),
@@ -413,28 +416,25 @@ class TestBatchedPass:
         ]
         assert_gradient_matches_generic(den, batch, random.Random(75))
 
-    def test_arcs_back_into_the_start_match_generic(self):
-        # arcs enter the final start state 0 with phone 1 (from 1 and its
-        # self-loop) and with phone 0 (from 2), so two split states copy the
-        # start: they leave by its arcs and keep its final weight; state 2
-        # is entered by phone 1 (from 1 and its self-loop) and phone 0 (from 0)
-        arcs = [(0, 1, 0, -0.3), (1, 0, 1, -0.6), (0, 0, 1, -1.4), (1, 2, 1, -0.8)]
-        arcs += [(0, 2, 0, -1.1), (2, 0, 0, -0.5), (2, 2, 1, -0.2)]
-        den = HmmGraph(arcs, [-0.7, -math.inf, 0.0])
-        weights, phone, finals = _state_form([den])
-        assert weights.shape == (1, 6, 6)
-        assert phone.tolist() == [[0, 0, 1, 0, 0, 1]]
-        assert finals.tolist() == [[-0.7, -0.7, -0.7, -math.inf, 0.0, 0.0]]
-        batch = [
-            TrainingUtterance(0, (0, 1, 2, 1), ("ab",)),
-            TrainingUtterance(0, (2, 0, 0, 1, 1, 2), ("ba", "ab")),
-            TrainingUtterance(0, (1, 0), ("ba",)),
-        ]
-        assert_gradient_matches_generic(den, batch, random.Random(76))
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 1, 0, -0.3), (1, 0, 1, -0.6)], "graph 1 is not state-emitting: an arc enters the start state 0"),
+            ([(0, 1, 0, -0.3), (1, 1, 1, -0.6)], "graph 1 is not state-emitting: more than one phone enters state 1"),
+        ],
+        ids=["into_start", "two_phones"],
+    )
+    def test_state_form_refuses_graphs_that_are_not_state_emitting(self, arcs, message):
+        bad = HmmGraph(arcs, [-math.inf, 0.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _state_form([build_denominator(range(2), {}), bad])
+        task = MmiTask(0, ("p0", "p1"), LEX, bad, alpha=1.0)
+        with pytest.raises(ValueError, match="^graph 0 is not state-emitting"):
+            objective.compile_plan({0: [TrainingUtterance(0, (0, 1), ("ab",))]}, [task])
 
     def test_denominator_state_form_layout(self):
-        # a builder denominator keeps its state count: split state 1+j copies
-        # state 1+j, entered only by phone j
+        # a builder denominator is state-emitting as it is: state 1+j is
+        # entered only by phone j
         n = 5
         den = build_denominator(range(n), phone_bigram_counts([[0, 1, 2, 1, 0], [3, 3, 4, 1], [2, 0]]))
         weights, phone, finals = _state_form([den])
@@ -445,14 +445,27 @@ class TestBatchedPass:
         assert phone.tolist() == [[0, *range(n)]]
         assert finals.tolist() == [[-math.inf] + [0.0] * n]
 
-    def test_arc_weights_beyond_exp_range_match_generic(self):
+    @pytest.mark.parametrize(
+        "arcs, finals, seqs",
+        [
+            pytest.param(
+                [(0, 1, 0, 800.0), (1, 1, 0, 790.0), (1, 2, 1, -800.0), (2, 2, 1, 795.0), (0, 2, 1, 0.0)],
+                [-math.inf, 0.0, -2.0], [(0,), (0, 1, 1), (1, 0, 1, 0)], id="lift",
+            ),
+            pytest.param(
+                [(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)],
+                [-math.inf, -math.inf, 0.0], [(0, 1), (0, 1, 1), (1, 0, 1, 0)], id="guard",
+            ),
+        ],
+    )
+    def test_arc_weights_beyond_exp_range_match_generic(self, arcs, finals, seqs):
         # exp(800) overflows and exp(-800) underflows; the batched pass
         # shifts each graph's weights by their max, and the guard recovers
-        # the arcs whose shifted weight underflows
-        arcs = [(0, 1, 0, 800.0), (1, 1, 1, 790.0), (1, 2, 0, -800.0), (2, 2, 1, 795.0), (0, 2, 1, 0.0)]
-        graph = HmmGraph(arcs, [-math.inf, 0.0, -2.0])
+        # the arcs whose shifted weight underflows: in "guard" every path
+        # to the one final state takes the -800 arc, so without the guard
+        # each total is -inf
+        graph = HmmGraph(arcs, finals)
         lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
-        seqs = [(0,), (0, 1, 1), (1, 0, 1, 0)]
         totals, occ = _forward_backward(_sweep([graph], seqs, [0], [0] * len(seqs)), lp[None], occupancy=True)
         expected = np.zeros((1, *lp.shape))
         for total, seq in zip(totals, seqs):
