@@ -16,10 +16,13 @@ written ``number + suffix`` occurs at character ``i``; ``str.find`` finds
 every occurrence, overlapping ones included. The tail is a suffix of every
 spoken variant, so a telephony or spelled match is a tail match with the
 words of ``callsign.spoken_heads`` right before it, compared as tokens.
-Variants are sliced from the utterance's tokens at a hit. The matcher
-lives for one run and keeps two plain dicts, each emptied when it reaches
-``MEMO_SIZE`` entries: each entry's parse, and each matched entry's
-callsign and heads.
+Variants are sliced from the utterance's tokens at a hit. The code is
+exactly three letters, so a well-formed entry's tail is ``raw[3:]``: only
+the entries whose ``raw[3:]`` occurs in the written string are parsed.
+The matcher lives for one run and keeps two plain dicts, each emptied
+before it would pass ``MEMO_SIZE`` entries: each screened entry's callsign
+and heads (``None`` when malformed), and whether each entry is malformed,
+for the per-occurrence count ``stats`` takes.
 
 ``find_matches`` searches explicit variant entries. Over
 ``expand_context_callsigns`` it is the full expansion ``ContextMatcher``
@@ -154,32 +157,38 @@ class ContextMatcher:
     def __init__(self, lexicon: TelephonyLexicon, icao_digits: bool = False) -> None:
         self.lexicon = lexicon
         self.chars = written_chars(icao_digits)
-        # raw entry -> (code, number, suffix), or None when malformed
-        self.parts: dict[str, tuple[str, str, str] | None] = {}
-        # raw entry -> (callsign, spoken_heads), from the entry's first hit on
-        self.hits: dict[str, tuple[Callsign, tuple[tuple[VariantKind, tuple[str, ...]], ...]]] = {}
+        # raw entry -> whether it is malformed; read only when counting malformed entries
+        self.malformed: dict[str, bool] = {}
+        # raw entry -> (callsign, spoken_heads), or None when malformed; from its first screen pass on
+        self.hits: dict[str, tuple[Callsign, tuple[tuple[VariantKind, tuple[str, ...]], ...]] | None] = {}
 
     def __call__(self, utt: Utterance, stats: FilterStats | None = None) -> list[CallsignMatch]:
         tokens = utt.tokens
         chars = self.chars
         written = "".join([chars.get(tok, " ") for tok in tokens])
+        context = utt.context_callsigns or ()
+        if stats is not None:
+            try:
+                stats.malformed_callsigns += sum(map(self.malformed.__getitem__, context))
+            except KeyError:  # an entry the memo does not hold
+                flags = [found is None for found in map(CALLSIGN_RE.fullmatch, context)]
+                if len(self.malformed) + len(context) > MEMO_SIZE:
+                    self.malformed.clear()
+                self.malformed.update(zip(context[:MEMO_SIZE], flags))
+                stats.malformed_callsigns += sum(flags)
         matches: list[CallsignMatch] = []
-        for raw in utt.context_callsigns or ():
-            parts = self.parts.get(raw, _UNSEEN)
-            if parts is _UNSEEN:
+        # a well-formed entry's tail (number + suffix) is all but its three-letter code
+        for raw in [raw for raw in context if raw[3:] in written]:
+            hit = self.hits.get(raw, _UNSEEN)
+            if hit is _UNSEEN:
                 found = CALLSIGN_RE.fullmatch(raw)
-                parts = _remember(self.parts, raw, found and found.groups())
-            if parts is None:
-                if stats is not None:
-                    stats.malformed_callsigns += 1
+                parsed = found and (Callsign(*found.groups()), spoken_heads(found[1], self.lexicon))
+                hit = _remember(self.hits, raw, parsed)
+            if hit is None:
                 continue
-            tail = parts[1] + parts[2]
+            cs, heads = hit
+            tail = raw[3:]
             start = written.find(tail)
-            if start < 0:
-                continue
-            cs, heads = self.hits.get(raw) or _remember(
-                self.hits, raw, (Callsign(*parts), spoken_heads(parts[0], self.lexicon))
-            )
             while start >= 0:
                 end = start + len(tail)
                 matches.append(CallsignMatch(cs, SpokenVariant(tokens[start:end], VariantKind.SHORTENED), start, end))

@@ -13,7 +13,7 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -272,20 +272,16 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
     return CheckResult("single_task_reduction", True, f"{instances} instances, bit-identical")
 
 
-def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: float = 1e-12) -> CheckResult:
-    """The batched forward-backward that training runs agrees with the
-    arc-generic forward and occupancy, sequence by sequence.
-
-    Each instance runs four batches: random state-emitting graphs, one per
-    sequence and one shared, each random_graph's draw without its arcs into
-    state 0 and with every arc relabelled by its destination's phone
-    (dst % n_phones); and both sweeps of a two-task plan, with one utterance
-    too short for its numerator and one with an empty transcript. Totals are
-    compared relative to max(1, |total|), the summed occupancy relative to
-    max(1, its largest entry); a sequence the generic forward rejects must
-    get total -inf.
-    """
-    worst = 0.0
+def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
+    """check_batched_vs_generic's batches, each as (sweep, emission tables,
+    each row's graph, each row's table, each row's symbols): a fixed graph
+    that draws nothing from rng, then four batches per instance."""
+    # every path to the one final state takes the -800 arc, so each total is
+    # -inf unless the denominators' underflow guard recomputes in log space
+    guard = HmmGraph([(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)], [-math.inf, -math.inf, 0.0])
+    guard_seqs = [(0, 1), (0, 1, 1), (1, 0, 1, 0)]
+    guard_lp = log_softmax(np.array([[0.3, -0.4], [-1.1, 0.6]]))[None]
+    yield _sweep([guard], guard_seqs, [0], [0] * 3), guard_lp, [guard] * 3, [0] * 3, guard_seqs
     for _ in range(instances):
         n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
         logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
@@ -299,35 +295,54 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
         owner = [u.task_id - 1 for u in plan.rows]  # random_instance numbers its tasks from 1
         plan_seqs = [u.symbols for u in plan.rows]
         lp, plan_lp = log_softmax(logits)[None], np.stack([em.log_probs(t.task_id) for t in tasks])
-        for sweep, tables, row_graphs, row_tables, symbols in (
-            (_sweep(graphs, seqs, [0] * 3, range(3)), lp, graphs, [0] * 3, seqs),
-            (_sweep(graphs[:1], seqs, [0], [0] * 3), lp, graphs[:1] * 3, [0] * 3, seqs),
-            (plan.den, plan_lp, [tasks[k].den_graph for k in owner], owner, plan_seqs),
-            (plan.num, plan_lp, [tasks[k].numerator_graph(u.words) for k, u in zip(owner, plan.rows)], owner, plan_seqs),
-        ):
-            totals, occupancy = _forward_backward(sweep, tables, occupancy=True)
-            expected = np.zeros(tables.shape)
-            for i, seq in enumerate(symbols):
-                try:
-                    occ, total = emission_occupancy(row_graphs[i], tables[row_tables[i]], seq)
-                except NoPath:
-                    if totals[i] != -np.inf:
-                        return CheckResult(
-                            "batched_vs_generic", False, f"batched total {float(totals[i])!r} where no path accepts"
-                        )
-                    continue
-                expected[row_tables[i]] += occ
-                err = abs(totals[i] - total) / max(1.0, abs(total))
-                worst = max(worst, err)
-                if not err <= tolerance:
+        yield _sweep(graphs, seqs, [0] * 3, range(3)), lp, graphs, [0] * 3, seqs
+        yield _sweep(graphs[:1], seqs, [0], [0] * 3), lp, graphs[:1] * 3, [0] * 3, seqs
+        yield plan.den, plan_lp, [tasks[k].den_graph for k in owner], owner, plan_seqs
+        yield plan.num, plan_lp, [tasks[k].numerator_graph(u.words) for k, u in zip(owner, plan.rows)], owner, plan_seqs
+
+
+def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: float = 1e-12) -> CheckResult:
+    """The batched forward-backward that training runs agrees with the
+    arc-generic forward and occupancy, sequence by sequence.
+
+    A fixed guard graph comes first: its one final state is entered only
+    through a -800 arc, so it fails without the denominators' underflow
+    guard. Each instance then runs four batches: random state-emitting
+    graphs, one per sequence and one shared, each random_graph's draw
+    without its arcs into state 0 and with every arc relabelled by its
+    destination's phone (dst % n_phones); and both sweeps of a two-task
+    plan, with one utterance too short for its numerator and one with an
+    empty transcript. Totals are compared relative to max(1, |total|), the
+    summed occupancy relative to max(1, its largest entry); a sequence the
+    generic forward rejects must get total -inf.
+    """
+    worst = 0.0
+    for sweep, tables, row_graphs, row_tables, symbols in _batched_cases(rng, instances):
+        totals, occupancy = _forward_backward(sweep, tables, occupancy=True)
+        expected = np.zeros(tables.shape)
+        for i, seq in enumerate(symbols):
+            try:
+                occ, total = emission_occupancy(row_graphs[i], tables[row_tables[i]], seq)
+            except NoPath:
+                if totals[i] != -np.inf:
                     return CheckResult(
-                        "batched_vs_generic", False, f"batched total {float(totals[i])!r} vs generic {total!r}"
+                        "batched_vs_generic", False, f"batched total {float(totals[i])!r} where no path accepts"
                     )
-            err = float(np.abs(occupancy - expected).max()) / max(1.0, float(expected.max()))
+                continue
+            expected[row_tables[i]] += occ
+            err = abs(totals[i] - total) / max(1.0, abs(total))
             worst = max(worst, err)
             if not err <= tolerance:
-                return CheckResult("batched_vs_generic", False, f"occupancy relative error {err:.3e}")
-    return CheckResult("batched_vs_generic", True, f"{instances} instances, worst relative error {worst:.3e}")
+                return CheckResult(
+                    "batched_vs_generic", False, f"batched total {float(totals[i])!r} vs generic {total!r}"
+                )
+        err = float(np.abs(occupancy - expected).max()) / max(1.0, float(expected.max()))
+        worst = max(worst, err)
+        if not err <= tolerance:
+            return CheckResult("batched_vs_generic", False, f"occupancy relative error {err:.3e}")
+    return CheckResult(
+        "batched_vs_generic", True, f"guard graph and {instances} instances, worst relative error {worst:.3e}"
+    )
 
 
 ENUM_INSTANCES = 80

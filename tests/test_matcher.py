@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import re
+import string
 
 import pytest
 
@@ -208,9 +210,32 @@ class TestContextMatcher:
             ("OTW4", 6, "shortened"),
         ]
 
+    @pytest.mark.parametrize(
+        "text, context",
+        [
+            ("eight four juliett juliett juliett", ("TVS84JJJ", "TVS84J")),
+            ("one two three four five", ("TVS12345", "TVS1234")),
+            ("sierra eight four juliett", (" TVS84J", "TVS84J")),  # tail slice "S84J"
+            ("eight four juliett", ("TV84J", "TVS84J")),  # tail slice "4J"
+            ("eight four juliett", ("", "TVS84J", "")),  # empty tail slice, in every string
+            ("eight four juliett", ("TVS84J\nTVS84J", "TVS84J")),
+        ],
+        ids=["long_suffix", "long_number", "leading_space", "short_code", "empty", "embedded_newline"],
+    )
+    def test_malformed_entries_that_pass_the_tail_screen(self, telephony, text, context):
+        # each context holds a malformed entry whose slice past the code occurs in the utterance
+        utt = Utterance("u", tokenize(text), context_callsigns=context)
+        match = ContextMatcher(telephony)
+        for _ in range(2):  # the second call reads the memos the first one filled
+            assert self.check(utt, telephony, False, match)
+
     def test_memos_stay_bounded(self, telephony):
+        def memos():
+            return match.malformed, match.hits
+
         rng = random.Random(38)
         match = ContextMatcher(telephony)
+        stats = FilterStats()
         seen = set()
         while len(seen) < 20000:
             raw = random_callsign_raw(rng)
@@ -219,9 +244,14 @@ class TestContextMatcher:
             seen.add(raw)
             variants = expand_callsign(parse_callsign(raw), telephony)
             shortened = next(v for v in variants if v.kind is VariantKind.SHORTENED)
-            assert match(Utterance("u", shortened.tokens, context_callsigns=(raw,)))
-            assert len(match.parts) <= MEMO_SIZE and len(match.hits) <= MEMO_SIZE
-        assert len(match.parts) == len(match.hits) > 0
+            assert match(Utterance("u", shortened.tokens, context_callsigns=(raw,)), stats)
+            assert all(len(memo) <= MEMO_SIZE for memo in memos())
+        assert all(memos()) and stats.malformed_callsigns == 0
+        # one context longer than a memo, every entry of it matching
+        codes = ["".join(code) for code in itertools.product(string.ascii_uppercase, repeat=3)]
+        utt = Utterance("u", ("one",), context_callsigns=tuple(code + "1" for code in codes[:1500]))
+        assert len(self.check(utt, telephony, False, match)) == 1500
+        assert all(0 < len(memo) <= MEMO_SIZE for memo in memos())
 
 
 class TestFilterCorpus:
