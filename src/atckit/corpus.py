@@ -20,6 +20,7 @@ import json
 import string
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator
 
@@ -85,7 +86,7 @@ class Utterance:
             raise CorpusFormatError("'text' must be a string")
         callsigns = obj.get("callsigns")
         if callsigns is not None and not (
-            isinstance(callsigns, list) and all(isinstance(c, str) for c in callsigns)
+            isinstance(callsigns, list) and all(map(isinstance, callsigns, repeat(str)))
         ):
             raise CorpusFormatError("'callsigns' must be an array of strings")
         return cls(

@@ -274,14 +274,20 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
 
 def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
     """check_batched_vs_generic's batches, each as (sweep, emission tables,
-    each row's graph, each row's table, each row's symbols): a fixed graph
-    that draws nothing from rng, then four batches per instance."""
+    each row's graph, each row's table, each row's symbols): two fixed
+    graphs that draw nothing from rng, then four batches per instance."""
     # every path to the one final state takes the -800 arc, so each total is
     # -inf unless the denominators' underflow guard recomputes in log space
     guard = HmmGraph([(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)], [-math.inf, -math.inf, 0.0])
     guard_seqs = [(0, 1), (0, 1, 1), (1, 0, 1, 0)]
     guard_lp = log_softmax(np.array([[0.3, -0.4], [-1.1, 0.6]]))[None]
     yield _sweep([guard], guard_seqs, [0], [0] * 3), guard_lp, [guard] * 3, [0] * 3, guard_seqs
+    # every phone emits symbol 1 at about -800 nats, so e^E underflows for all of
+    # them; the denominators' emission shift keeps these totals finite
+    shifted = build_denominator(range(3), phone_bigram_counts([[0, 1, 2, 1], [2, 0]]))
+    shifted_seqs = [(1, 0, 1), (0, 1, 1, 1, 0), (1,)]
+    shifted_lp = log_softmax(np.array([[0.0, -800.0], [0.4, -799.5], [-0.3, -800.8]]))[None]
+    yield _sweep([shifted], shifted_seqs, [0], [0] * 3), shifted_lp, [shifted] * 3, [0] * 3, shifted_seqs
     for _ in range(instances):
         n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
         logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
@@ -305,9 +311,12 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
     """The batched forward-backward that training runs agrees with the
     arc-generic forward and occupancy, sequence by sequence.
 
-    A fixed guard graph comes first: its one final state is entered only
-    through a -800 arc, so it fails without the denominators' underflow
-    guard. Each instance then runs four batches: random state-emitting
+    Two fixed graphs come first. The guard graph's one final state is
+    entered only through a -800 arc, so it fails without the denominators'
+    underflow guard. A three-phone denominator follows under emissions
+    whose symbol 1 every phone emits at about -800 nats, so its totals rest
+    on the denominators' emission shift (or, without it, on the guard's
+    recompute). Each instance then runs four batches: random state-emitting
     graphs, one per sequence and one shared, each random_graph's draw
     without its arcs into state 0 and with every arc relabelled by its
     destination's phone (dst % n_phones); and both sweeps of a two-task
@@ -341,7 +350,7 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
         if not err <= tolerance:
             return CheckResult("batched_vs_generic", False, f"occupancy relative error {err:.3e}")
     return CheckResult(
-        "batched_vs_generic", True, f"guard graph and {instances} instances, worst relative error {worst:.3e}"
+        "batched_vs_generic", True, f"2 fixed graphs and {instances} instances, worst relative error {worst:.3e}"
     )
 
 

@@ -7,34 +7,50 @@ task's utterances; the multitask objective is the task-weighted sum.
 Training compiles its batches once (compile_plan), then runs one batched
 forward-backward per graph kind and pass over the rows of every task. The
 graphs are state-emitting (no arc enters the start, and all the arcs into a
-state carry the phone it emits), so the emission term factors out,
+state carry the phone it emits), so the emission term factors out of each
+frame's step over W, the [Q, Q] log transition matrix.
 
-    alpha_t = E[task, phone, x_t] + logmatmul(alpha_{t-1}, W),
+A numerator is a chain built from the transcript's phones: W holds only
+stay (q -> q) and advance (q -> q + 1), so each frame is an exact
+elementwise logaddexp of alpha + stay and shifted alpha + advance, in
+natural-log space. Each frame's posteriors are divided by their sum.
 
-with W the [Q, Q] log transition matrix. Each task's denominator is one W
-its rows share. A numerator is a chain built from the transcript's phones:
-W holds only stay (q -> q) and advance (q -> q + 1), so each frame is an
-exact elementwise logaddexp of alpha + stay and shifted alpha + advance.
-Only the alphas are kept for every frame: the backward sweep adds each
-frame's state posteriors to the occupancy, binned by (task, phone,
-symbol). The numerators run first, and a row whose numerator rejects its
-utterance counts nothing in the denominator's occupancy. mmi_gradient
-returns the objective from the same pass; multitask_objective is the
-forward-only one.
+Each task's denominator is one W its rows share, run as the scaled
+forward-backward of Rabiner (1989, V-A) in probability space, states as
+rows and batch rows as columns:
 
-All recursions run in natural-log space, and underflow cannot turn a
-reachable state into -inf for any finite parameters. The log-matmul sums
-each max-shifted row in the linear domain, where terms below about 1e-308
-vanish, so an entry whose shifted sum falls below _TINY while some finite
-predecessor feeds it is recomputed exactly in log space. The arc-generic
-_forward, _backward_betas, forward_logprob and emission_occupancy are the
-references it is checked against.
+    alpha_hat_t = (A^T alpha_hat_{t-1} * e_t) / c_t,    c_t its column sums,
+
+with A = exp(W - lift), lift the graph's largest log weight, and
+e_t = exp(E[task, phone, x_t] - m[task, x_t]), m the largest emission of
+symbol x_t over the task's phones, so one phone's factor is 1 and a frame's
+emissions cannot all underflow. The total is sum_t (log c_t + m + lift) +
+log sum alpha_hat_T exp(finals); the backward pass runs
+beta_hat_{t-1} = A (e_t * beta_hat_t) / c_t from exp(finals) over that last
+sum, and the state posteriors are alpha_hat * beta_hat, with no exp per
+frame. Every product has the states as rows and a transposed view of
+row-major [B, Q] alphas or betas as its right operand: in every other
+layout tried, a row's rounding depended on the others (gemm's blocking
+varies with the column count). Underflow never turns a reachable state into -inf: a row in which an
+arc from a positive alpha_hat feeds a state whose unnormalized alpha_hat
+falls below _TINY gets its total and occupancy from the arc-generic
+_forward and _backward_betas, in log space; one whose beta_hat does so, at a
+state its alpha_hat reaches, gets its occupancy only, so the total depends
+on the forward pass alone.
+
+Only the alphas are kept for every frame: the backward sweep overwrites
+each frame's with its state posteriors, which one bincount adds to the
+occupancy, binned by (task, phone, symbol). The numerators run first, and
+a row whose numerator rejects its utterance counts nothing in the
+denominator's occupancy. mmi_gradient returns the objective from the same
+pass; multitask_objective is the forward-only one. forward_logprob and
+emission_occupancy, over the same arc-generic recursions, are the
+references the batched passes are checked against.
 """
 
 from __future__ import annotations
 
 import logging
-from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -45,10 +61,9 @@ from .model import EmissionModel, MmiTask, TrainingUtterance
 
 logger = logging.getLogger(__name__)
 
-# Below this a shifted linear-domain sum may have lost terms to underflow
-# (doubles go subnormal at 2.2e-308), so the entry is recomputed in log space.
+# Below this a scaled probability may have lost terms to underflow (doubles
+# go subnormal at 2.2e-308), so its row is recomputed in log space.
 _TINY = 1e-280
-_LOWEST = np.finfo(np.float64).min
 
 
 def _forward(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -99,6 +114,12 @@ def emission_occupancy(
     phone p emits symbol s, under the posterior over accepting paths;
     summing gamma over everything gives the sequence length.
     """
+    return _occupancy(graph, em_logprobs, symbols)
+
+
+def _occupancy(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:
+    """emission_occupancy, under a name the benchmark's tracer leaves alone,
+    for the rows the scaled denominator pass recomputes."""
     src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     alphas, total = _forward(graph, em_logprobs, symbols)
     betas = _backward_betas(graph, em_logprobs, symbols)
@@ -135,54 +156,15 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     return weights, phone, finals
 
 
-def _stepper(weights: np.ndarray, graph: np.ndarray) -> tuple:
-    """What _log_matmul needs of weights [G, Q, Q] for rows on graph[b]: the
-    weights, their exp, the arc mask, the underflow floor per row (_TINY
-    where an arc enters a column, else -1), each row's graph, and where each
-    row's result lies in the one product a frame takes, with the graphs'
-    columns stacked as rows and the rows as columns. With the rows as rows, a
-    row's rounding would depend on the others (OpenBLAS sends a one-row
-    product to gemv; gemm's summation order varies with the row count)."""
-    arcs = weights > -np.inf
-    floor = np.where(arcs.any(axis=1), _TINY, -1.0)
-    n, q = weights.shape[:2]
-    side = lambda a: np.ascontiguousarray(a.transpose(0, 2, 1).reshape(n * q, q))  # noqa: E731
-    pick = (graph[:, None] * q + np.arange(q)) * len(graph) + np.arange(len(graph))[:, None]
-    return weights, side(np.exp(weights)), side(arcs), floor[graph], graph, pick
-
-
-def _log_matmul(x: np.ndarray, step: tuple) -> np.ndarray:
-    """log(exp(x[b]) @ exp(weights[graph[b]])) row by row, for x [B, Q] and a
-    _stepper of weights [G, Q, Q].
-
-    Each row is shifted by its max and summed in the linear domain, so its
-    largest term is exp(weight) <= 1. An entry whose shifted sum is below
-    the floor may have lost its terms to underflow; when some finite x feeds
-    it through an arc (one boolean matmul) it is recomputed in log space.
-    Callers silence the divide warning of log(0).
-    """
-    weights, linear, arcs, floor, graph, pick = step
-    top = np.maximum(x.max(axis=1, keepdims=True), _LOWEST)  # an all -inf row stays -inf
-    sums = np.take(linear @ np.exp(x - top).T, pick)
-    out = np.log(sums) + top
-    low = sums < floor
-    if low.any():
-        low &= np.take(arcs @ (x > -np.inf).T, pick)
-        if low.any():
-            b, q = np.nonzero(low)
-            out[b, q] = np.logaddexp.reduce(x[b] + weights[graph[b], :, q], axis=1)
-    return out
-
-
 def _chain_step(x: np.ndarray, stay: np.ndarray, advance: np.ndarray, back: bool) -> np.ndarray:
     """One frame of chains with log weights stay (q -> q) and advance (q -> q + 1),
-    [B, Q] each, for x [B, Q]: state q gathers from q and q - 1, or with ``back``
+    [Q, B] each, for x [Q, B]: state q gathers from q and q - 1, or with ``back``
     from q and q + 1. Elementwise, so no row depends on the others."""
     out = x + stay
     if back:
-        np.logaddexp(out[:, :-1], x[:, 1:] + advance[:, :-1], out=out[:, :-1])
+        np.logaddexp(out[:-1], x[1:] + advance[:-1], out=out[:-1])
     else:
-        np.logaddexp(out[:, 1:], x[:, :-1] + advance[:, :-1], out=out[:, 1:])
+        np.logaddexp(out[1:], x[:-1] + advance[:-1], out=out[1:])
     return out
 
 
@@ -194,81 +176,212 @@ def _pad(symbol_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return sym, lengths
 
 
-def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph) -> tuple:
+class Chains(NamedTuple):
+    """Numerator chains over padded rows, for _forward_backward; see _chain_sweep."""
+
+    sym: np.ndarray  # [B, frames] symbols, zero-padded
+    lengths: np.ndarray  # [B] frames per row
+    table: np.ndarray  # [B] each row's emission table
+    phone: np.ndarray  # [B, Q] each state's phone
+    finals: np.ndarray  # [B, Q] log final weights
+    stay: np.ndarray  # [B, Q] log weight of q -> q: 0 or -inf
+    advance: np.ndarray  # [B, Q] log weight of q -> q + 1: 0 or -inf
+
+
+class Sweep(NamedTuple):
+    """Shared state-emitting graphs over padded rows, for _forward_backward; see _sweep."""
+
+    graphs: tuple[HmmGraph, ...]  # for the rows recomputed in log space
+    sym: np.ndarray  # [B, frames] symbols, zero-padded
+    lengths: np.ndarray  # [B] frames per row
+    graph: np.ndarray  # [B] each row's graph
+    table: np.ndarray  # [G] each graph's emission table
+    phone: np.ndarray  # [G, Q] each state's phone
+    finals: np.ndarray  # [G, Q] log final weights
+    lift: np.ndarray  # [G] each graph's largest log weight, 0 when it has no arc
+    # [0] forward and [1] backward: row g * Q + q gathers into state q of
+    # graph g, from its predecessors or from its successors
+    linear: np.ndarray  # [2, G * Q, Q] exp(W - lift)
+    arcs: np.ndarray  # [2, G * Q, Q] where W has an arc, whatever its exp
+    floor: np.ndarray  # [2, Q, B] _TINY where an arc gathers into state q of row b's graph, else -1
+    pick: np.ndarray  # [Q, B] where row b's state q lies in a flattened [G * Q, B] product
+
+
+def _binned(post: np.ndarray, base: np.ndarray, sym: np.ndarray, shape: tuple) -> np.ndarray:
+    """Each frame's posteriors post[t] summed into an occupancy of ``shape``
+    at the flat bins base + sym[t], a few frames per bincount, so that no
+    index array as large as ``post`` is made."""
+    gamma = np.zeros(int(np.prod(shape)))
+    for t in range(0, len(post), 8):
+        gamma += np.bincount((base + sym[t : t + 8]).ravel(), weights=post[t : t + 8].ravel(), minlength=len(gamma))
+    return gamma.reshape(shape)
+
+
+def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph) -> Sweep:
     """The graphs in state form over the sequences, for _forward_backward:
     row b runs on shared graph[b]; graph g reads emission table table[g].
-    Returns the padded symbols, the lengths, each row's graph, each graph's
-    table, phone, finals, lift and the forward and backward steps."""
+    The stacked linear weights are built here, once for every pass."""
     weights, phone, finals = _state_form(graphs)
     # each graph's weights drop by their max, so exp cannot overflow; the
-    # emissions add it back, since every step takes one weight and one emission
+    # pass adds it back, since every frame takes one weight
     lift = weights.max(axis=(1, 2))
     lift[lift == -np.inf] = 0.0
     weights -= lift[:, None, None]
-    rows = np.asarray(graph, dtype=np.intp)
-    fwd, bwd = (partial(_log_matmul, step=_stepper(w, rows)) for w in (weights, weights.transpose(0, 2, 1).copy()))
-    return *_pad(symbol_seqs), rows, np.asarray(table, dtype=np.intp), phone, finals, lift, fwd, bwd
+    rows, table = np.asarray(graph, dtype=np.intp), np.asarray(table, dtype=np.intp)
+    q = phone.shape[1]
+    sides = np.stack([weights.transpose(0, 2, 1), weights])  # as Sweep.linear, [2, G, Q, Q]
+    arcs = sides > -np.inf
+    floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, rows].transpose(0, 2, 1).copy()
+    pick = (rows * q + np.arange(q)[:, None]) * len(rows) + np.arange(len(rows))
+    sym, lengths = _pad(symbol_seqs)
+    return Sweep(tuple(graphs), sym, lengths, rows, table, phone, finals, lift, np.exp(sides).reshape(2, -1, q),
+                 arcs.reshape(2, -1, q), floor, pick)
 
 
-def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequence[int]], table) -> tuple:
+def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequence[int]], table) -> Chains:
     """Row b's numerator, the chain over phone_seqs[b] on table table[b], as
     _sweep reads build_numerator's graph (state q > 0 emits phone q - 1), but
-    stepped by _chain_step on its two diagonals, stay and advance [B, Q]: 0 or -inf."""
+    kept as its two diagonals, stay and advance."""
     k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
     state = np.arange(1 + int(k.max(initial=0)))
     emitting = (state >= 1) & (state <= k)
     phone = np.zeros(emitting.shape, dtype=np.intp)
     phone[emitting] = [p for seq in phone_seqs for p in seq]
     stay, advance = np.where(emitting, 0.0, -np.inf), np.where(state < k, 0.0, -np.inf)
-    fwd, bwd = (partial(_chain_step, stay=stay, advance=advance, back=back) for back in (False, True))
-    finals, rows = np.where(state == k, 0.0, -np.inf), np.arange(len(k))
-    return *_pad(symbol_seqs), rows, np.asarray(table, dtype=np.intp), phone, finals, np.zeros(len(k)), fwd, bwd
+    finals = np.where(state == k, 0.0, -np.inf)
+    return Chains(*_pad(symbol_seqs), np.asarray(table, dtype=np.intp), phone, finals, stay, advance)
 
 
 def _forward_backward(
-    sweep: tuple, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None = None
+    sweep: Chains | Sweep, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Log-likelihoods [B] of a _sweep's or _chain_sweep's rows and, with
+    """Log-likelihoods [B] of a _chain_sweep's or _sweep's rows and, with
     ``occupancy``, the emission counts gamma [T, n_phones, n_symbols] over
     every row, or over the rows the boolean mask ``counted`` marks;
     ``em_logprobs`` stacks the T emission tables. A row no path accepts gets
-    total -inf and adds nothing to gamma; nor do the padded frames, whose
-    alphas are set to -inf before the backward sweep.
+    total -inf and adds nothing to gamma; nor do the padded frames.
     """
-    sym, lengths, graph, table, phone, finals, lift, fwd, bwd = sweep
-    n_graphs, q = phone.shape
-    batch, frames = sym.shape
-    # emit[x * G + g, q] = E[table[g], phone[g, q], x] + lift[g], so frame t reads emit[at[:, t]]
-    emit = (em_logprobs[table[:, None], phone].transpose(2, 0, 1) + lift[:, None]).reshape(-1, q)
-    at = sym * n_graphs + graph[:, None]
+    run = _chain_pass if isinstance(sweep, Chains) else _scaled_pass
+    return run(sweep, em_logprobs, occupancy, counted)
 
-    alphas = np.full((frames + 1, batch, q), -np.inf)
-    alphas[0, :, 0] = 0.0
-    with np.errstate(divide="ignore"):
-        for t in range(1, frames + 1):
-            alphas[t] = emit[at[:, t - 1]] + fwd(alphas[t - 1])
-    finals = finals[graph]
-    totals = np.logaddexp.reduce(alphas[lengths, np.arange(batch)] + finals, axis=1)
+
+def _chain_pass(chains: Chains, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None):
+    """_forward_backward of numerator chains, in log space with the states
+    as rows and the batch rows as columns."""
+    sym, lengths = chains.sym, chains.lengths
+    batch, frames = sym.shape
+    stay, advance, finals = (np.ascontiguousarray(a.T) for a in (chains.stay, chains.advance, chains.finals))
+    # emit[q, x * B + b] = E[table[b], phone[b, q], x], so frame t reads its columns at[t]
+    emit = em_logprobs[chains.table[:, None], chains.phone].transpose(1, 2, 0).reshape(len(stay), -1)
+    at = (sym * batch + np.arange(batch)[:, None]).T
+
+    alphas = np.full((frames + 1, *stay.shape), -np.inf)
+    alphas[0, 0] = 0.0
+    for t in range(1, frames + 1):
+        alphas[t] = emit.take(at[t - 1], axis=1) + _chain_step(alphas[t - 1], stay, advance, back=False)
+    totals = np.logaddexp.reduce(alphas[lengths, :, np.arange(batch)] + chains.finals, axis=1)
     if not occupancy:
         return totals, None
 
-    alphas[np.arange(frames + 1)[:, None] > lengths] = -np.inf
-    gamma = np.zeros(em_logprobs.size)
-    bins = (table[graph, None] * em_logprobs.shape[1] + phone[graph]) * em_logprobs.shape[2]
+    np.copyto(alphas, -np.inf, where=(np.arange(frames + 1)[:, None] > lengths)[:, None])
     keep = totals > -np.inf
     if counted is not None:
         keep &= counted
-    shift = np.where(keep, totals, np.inf)[:, None]  # a rejected or uncounted row gets posterior 0
+    shift = np.where(keep, totals, np.inf)  # a rejected or uncounted row gets posterior 0
     # a row not yet at its last frame carries finite filler, which its -inf
     # alphas mask, until its betas restart from the finals
-    betas = np.where((lengths == frames)[:, None], finals, 0.0)
+    betas = np.where(lengths == frames, finals, 0.0)
+    for t in range(frames, 0, -1):
+        np.exp(alphas[t] + betas - shift, out=alphas[t])  # the frame's posteriors replace its alphas
+        betas = _chain_step(emit.take(at[t - 1], axis=1) + betas, stay, advance, back=True)
+        betas = np.where(lengths == t - 1, finals, betas)
+    post = alphas[1:]
+    # each frame's posteriors sum to 1; summed state by state, so neither
+    # padding nor the row count changes a row's bits (numpy's own sum of one
+    # row is pairwise)
+    norm = sum(post.transpose(1, 0, 2))[:, None]
+    np.divide(post, norm, out=post, where=norm > 0)
+    n_phones, n_symbols = em_logprobs.shape[1:]
+    base = (chains.table * n_phones + chains.phone.T) * n_symbols  # [Q, B]: each state's bin but the symbol
+    return totals, _binned(post, base, np.ascontiguousarray(sym.T)[:, None], em_logprobs.shape)
+
+
+def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None):
+    """_forward_backward of shared graphs, scaled in probability space; see
+    the module notes."""
+    sym, lengths, graph = sweep.sym, sweep.lengths, sweep.graph
+    (into, out), (arcs_in, arcs_out), (floor_in, floor_out) = sweep.linear, sweep.arcs, sweep.floor
+    n_graphs, q = sweep.phone.shape
+    batch, frames = sym.shape
+    lp = em_logprobs[sweep.table]
+    top = lp.max(axis=1)  # [G, symbols]: each symbol's largest emission over the phones
+    top[~(top > -np.inf)] = 0.0  # a symbol no phone emits, or NaN parameters, stay unshifted
+    # emit[x * G + g, q] = exp(E[table[g], phone[g, q], x] - top[g, x]), so frame t reads its rows at[t]
+    emit = np.exp(lp[np.arange(n_graphs)[:, None], sweep.phone] - top[:, None]).transpose(2, 0, 1).reshape(-1, q)
+    at = (sym * n_graphs + graph[:, None]).T
+    shift = (top + sweep.lift[:, None]).T.take(at)  # [frames, B]: what each frame's step dropped
+    gather = (lambda product: product) if n_graphs == 1 else (lambda product: product.take(sweep.pick))  # noqa: E731
+
+    alphas = np.zeros((frames + 1, batch, q))
+    alphas[0, :, 0] = 1.0
+    scale = np.zeros((frames, batch))  # c_t; 0 once a row has no path left
+    redo = np.zeros(batch, dtype=bool)
+    for t in range(1, frames + 1):
+        a = gather(into @ alphas[t - 1].T)
+        a *= emit.take(at[t - 1], axis=0).T
+        low = a < floor_in
+        if low.any():
+            low &= gather(arcs_in @ (alphas[t - 1].T > 0))
+            redo |= low.any(axis=0) & (t <= lengths)
+        # a sum below _TINY has been flagged (or is 0 and the row rejected), so the floor changes no kept row
+        np.divide(a, np.maximum(a.sum(axis=0, out=scale[t - 1]), _TINY), out=alphas[t].T)
+    end = alphas[lengths, np.arange(batch)]  # [B, Q]: alpha_hat at each row's last frame
+    finals = sweep.finals[graph]
+    # the finals drop by their max over the states a row reaches, so exp cannot overflow
+    top_final = np.where(end > 0, finals, -np.inf).max(axis=1)
+    top_final[~(top_final > -np.inf)] = 0.0
+    final = np.exp(finals - top_final[:, None], out=np.zeros_like(end), where=end > 0)
+    z = (end * final).sum(axis=1)
+    active = np.arange(frames)[:, None] < lengths
     with np.errstate(divide="ignore"):
-        for t in range(frames, 0, -1):
-            post = np.exp(alphas[t] + betas - shift)
-            gamma += np.bincount((bins + sym[:, t - 1, None]).ravel(), weights=post.ravel(), minlength=len(gamma))
-            betas = bwd(emit[at[:, t - 1]] + betas)
-            betas = np.where((lengths == t - 1)[:, None], finals, betas)
-    return totals, gamma.reshape(em_logprobs.shape)
+        totals = np.where(active, np.log(scale) + shift, 0.0).sum(axis=0) + top_final + np.log(z)
+
+    def exact(b: int) -> tuple[np.ndarray | None, float]:
+        """Row b's occupancy and total by the arc-generic recursions, in log space."""
+        g = graph[b]
+        try:
+            return _occupancy(sweep.graphs[g], em_logprobs[sweep.table[g]], sym[b, : lengths[b]])
+        except NoPath:
+            return None, -np.inf
+
+    for b in np.flatnonzero(redo):
+        totals[b] = exact(b)[1]
+    if not occupancy:
+        return totals, None
+
+    counted = (totals > -np.inf) & (True if counted is None else counted)
+    # beta_hat at each row's last frame: its shifted finals over their alpha_hat-weighted sum
+    final = np.divide(final, z[:, None], out=np.zeros_like(final), where=(counted & ~redo)[:, None])
+    divisor = np.maximum(scale, _TINY)
+    beta = np.zeros((batch, q))  # 0 for a row not yet at its last frame, so its posteriors are 0
+    for t in range(frames, 0, -1):
+        np.copyto(beta, final, where=(lengths == t)[:, None])
+        b = gather(out @ np.multiply(emit.take(at[t - 1], axis=0), beta).T)
+        low = b < floor_out
+        low &= t <= lengths
+        if low.any():
+            low &= gather(arcs_out @ (beta.T > 0)) & (alphas[t - 1].T > 0)
+            redo |= low.any(axis=0) & counted
+        alphas[t] *= beta  # the frame's posteriors replace its alphas
+        np.divide(b.T, divisor[t - 1, :, None], out=beta)
+    post = alphas[1:]
+    post[:, redo] = 0.0
+    n_phones, n_symbols = em_logprobs.shape[1:]
+    base = (sweep.table[graph, None] * n_phones + sweep.phone[graph]) * n_symbols  # [B, Q]
+    gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, :, None], em_logprobs.shape)
+    for b in np.flatnonzero(redo & counted):
+        gamma[sweep.table[graph[b]]] += exact(b)[0]
+    return totals, gamma
 
 
 class Plan(NamedTuple):
@@ -276,15 +389,16 @@ class Plan(NamedTuple):
 
     tasks: tuple[MmiTask, ...]
     rows: tuple[TrainingUtterance, ...]  # every task's batch, task by task
-    num: tuple  # _chain_sweep of each row's numerator, on its task's emissions
-    den: tuple  # _sweep of each task's denominator, shared by its rows
+    num: Chains  # each row's numerator, on its task's emissions
+    den: Sweep  # each task's denominator, shared by its rows
 
 
 def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequence[MmiTask]) -> Plan:
     """What every pass over ``batches`` needs but the emissions: each
     numerator as a chain over its transcript's phones, each denominator in
-    state form, the padded symbols. A trainer builds it once per run and
-    passes it to every mmi_gradient and multitask_objective call."""
+    state form with its linear weights, the padded symbols. A trainer builds
+    it once per run and passes it to every mmi_gradient and
+    multitask_objective call."""
     ids = [t.task_id for t in tasks]
     if not tasks or len(set(ids)) != len(ids):
         raise ValueError(f"need at least one task, with distinct ids, got {ids}")
@@ -311,8 +425,8 @@ def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
     if (den == -np.inf).any():
         i = int(np.argmax(den == -np.inf))
         raise NoPath(f"denominator accepts no path of length {len(plan.rows[i].symbols)}")
-    owner = plan.den[2]  # a denominator row runs on its task's graph
-    objectives = np.bincount(owner, weights=num - den, minlength=len(plan.tasks)).tolist()
+    # a denominator row runs on its task's graph
+    objectives = np.bincount(plan.den.graph, weights=num - den, minlength=len(plan.tasks)).tolist()
     return objectives, em_logprobs, (num_occ - den_occ if occupancy else None)
 
 
@@ -321,8 +435,8 @@ def short_transcripts(plan: Plan, consequence: str = "") -> str:
     and the first three transcripts too long to fit; '' when all fit. A chain
     of k phones, whose one final state is k, fits T >= 1 frames when
     1 <= k <= T, so an empty transcript fits none."""
-    k = plan.num[5].argmax(axis=1)
-    long = [" ".join(plan.rows[i].words) for i in np.flatnonzero(k > plan.num[1])]
+    k = plan.num.finals.argmax(axis=1)
+    long = [" ".join(plan.rows[i].words) for i in np.flatnonzero(k > plan.num.lengths)]
     empty = int(np.count_nonzero(k == 0))
     heads = []
     if len(long) == 1:

@@ -6,10 +6,12 @@ import string
 
 import pytest
 
+from atckit import matcher
 from atckit.callsign import (
     VariantKind,
     expand_callsign,
     parse_callsign,
+    spoken_heads,
 )
 from atckit.corpus import (
     CorpusFormatError,
@@ -229,9 +231,21 @@ class TestContextMatcher:
         for _ in range(2):  # the second call reads the memos the first one filled
             assert self.check(utt, telephony, False, match)
 
+    def test_heads_are_spoken_once_per_code(self, telephony, monkeypatch):
+        # spoken_heads depends on the airline code alone, so entries sharing a
+        # code share one call, however many distinct entries there are
+        codes = []
+        monkeypatch.setattr(matcher, "spoken_heads", lambda code, lexicon: codes.append(code) or spoken_heads(code, lexicon))
+        match = ContextMatcher(telephony)
+        text = "skytravel eight four juliett one two three seven lufthansa four"
+        utt = Utterance("u", tokenize(text), context_callsigns=("TVS84J", "TVS12", "TVS7", "DLH4", "TVS84J"))
+        for _ in range(2):
+            assert self.check(utt, telephony, False, match)
+        assert sorted(codes) == ["DLH", "TVS"]
+
     def test_memos_stay_bounded(self, telephony):
         def memos():
-            return match.malformed, match.hits
+            return match.malformed, match.hits, match.heads
 
         rng = random.Random(38)
         match = ContextMatcher(telephony)
@@ -333,6 +347,13 @@ class TestCorpusJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "hello"}\n\n{"id": "b", "text": ""}\n')
         assert [u.id for u in read_corpus(path)] == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", [5, None, ["TVS84J"], {"raw": "TVS84J"}, b"TVS84J"], ids=repr)
+    def test_non_string_callsign_last_in_a_long_list_is_refused(self, bad):
+        record = {"id": "a", "callsigns": [f"TVS{n}" for n in range(5000)] + [bad]}
+        with pytest.raises(CorpusFormatError, match="^'callsigns' must be an array of strings$"):
+            Utterance.from_json(record)
+        assert Utterance.from_json({**record, "callsigns": record["callsigns"][:-1]}).context_callsigns[-1] == "TVS4999"
 
     @pytest.mark.parametrize(
         "line",

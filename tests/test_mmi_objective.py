@@ -22,7 +22,7 @@ from atckit.mmi import (
     objective,
     phone_bigram_counts,
 )
-from atckit.mmi.check import random_graph, random_instance
+from atckit.mmi.check import _batched_cases, random_graph, random_instance
 from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form, _sweep
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
@@ -333,13 +333,13 @@ class TestGradient:
             np.testing.assert_array_equal(g1.bias[tid], g2.bias[tid])
 
 
-def assert_gradient_matches_generic(den, batch, rng):
-    """mmi_gradient on a two-phone task with denominator ``den`` against
+def assert_gradient_matches_generic(den, batch, rng, lexicon=LEX, n_phones=2):
+    """mmi_gradient on a task with denominator ``den`` against
     emission_occupancy, under a random model drawn from ``rng``."""
-    task = MmiTask(0, ("p0", "p1"), LEX, den, alpha=1.0)
+    task = MmiTask(0, tuple(f"p{i}" for i in range(n_phones)), lexicon, den, alpha=1.0)
     em = EmissionModel(
-        shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]),
-        bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])},
+        shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(n_phones)]),
+        bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(n_phones)])},
     )
     grad, objective = mmi_gradient({0: batch}, [task], em)
     lp = em.log_probs(0)
@@ -475,6 +475,56 @@ class TestBatchedPass:
         np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
 
 
+    @staticmethod
+    def count_exact_rows(monkeypatch):
+        """Counts of the arc-generic recursions the scaled pass falls back to."""
+        calls = {"_forward": 0, "_occupancy": 0}
+        for name in calls:
+            original = getattr(objective, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(objective, name, counting)
+        return calls
+
+    def test_emissions_far_below_one_need_no_recompute(self, monkeypatch):
+        # mmi-check's second fixed batch: every phone emits symbol 1 at about
+        # -800 nats, so e^E underflows for all of them; shifted by its max
+        # over the phones, a frame of symbol 1 keeps a factor of 1 and the
+        # pass needs no log-space recompute
+        sweep, lp, graphs, _, seqs = list(_batched_cases(random.Random(0), 0))[1]
+        calls = self.count_exact_rows(monkeypatch)
+        totals, _ = _forward_backward(sweep, lp, occupancy=False)
+        assert calls == {"_forward": 0, "_occupancy": 0}
+        for total, graph, seq in zip(totals, graphs, seqs):
+            expected = emission_occupancy(graph, lp[0], seq)[1]
+            assert expected < -799 * seq.count(1)
+            assert total == pytest.approx(expected, rel=1e-12)
+
+    def test_beta_underflow_recomputes_occupancy_only(self, monkeypatch):
+        # state 1 reaches the final state 3 only through an e^-800 arc, whose
+        # linear weight underflows: the forward pass loses nothing, since
+        # state 2 feeds state 3 too, but state 1's scaled beta underflows at
+        # the last frames. Its row's occupancy is recomputed in log space and
+        # its total is the forward pass's
+        arcs = [(0, 1, 0, 0.0), (0, 2, 1, 0.0), (1, 1, 0, 0.0), (2, 2, 1, -0.5), (1, 3, 2, -800.0), (2, 3, 2, 0.0)]
+        den = HmmGraph(arcs + [(3, 3, 2, -0.2)], [-math.inf, -math.inf, -math.inf, 0.0])
+        lexicon = {"a": (0, 2), "b": (1, 2)}
+        task = MmiTask(0, ("p0", "p1", "p2"), lexicon, den, alpha=1.0)
+        em = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6], [0.2, 0.1]]), bias={0: np.zeros((3, 2))})
+        batch = {0: [TrainingUtterance(0, (0, 1, 1, 0), ("b",)), TrainingUtterance(0, (1, 0, 1), ("a",))]}
+        calls = self.count_exact_rows(monkeypatch)
+        value = multitask_objective(batch, [task], em)
+        assert calls == {"_forward": 0, "_occupancy": 0}
+        grad, objective_value = mmi_gradient(batch, [task], em)
+        assert objective_value == value
+        assert calls == {"_forward": 2, "_occupancy": 2}  # each row once
+        monkeypatch.undo()
+        assert_gradient_matches_generic(den, batch[0], random.Random(81), lexicon, n_phones=3)
+
+
 class TestChainNumerators:
     @staticmethod
     def random_plan(rng, n_phones=4, n_symbols=3):
@@ -497,10 +547,9 @@ class TestChainNumerators:
             task, batch = self.random_plan(rng)
             plan = objective.compile_plan({0: batch}, [task])
             weights, phone, finals = _state_form([build_numerator(u.words, task.lexicon) for u in batch])
-            _, _, _, _, plan_phone, plan_finals, _, fwd, _ = plan.num
-            stay, advance = fwd.keywords["stay"], fwd.keywords["advance"]
-            np.testing.assert_array_equal(plan_phone, phone)
-            np.testing.assert_array_equal(plan_finals, finals)
+            stay, advance = plan.num.stay, plan.num.advance
+            np.testing.assert_array_equal(plan.num.phone, phone)
+            np.testing.assert_array_equal(plan.num.finals, finals)
             np.testing.assert_array_equal(stay, np.diagonal(weights, axis1=1, axis2=2))
             np.testing.assert_array_equal(advance[:, :-1], np.diagonal(weights, 1, axis1=1, axis2=2))
             assert (advance[:, -1] == -np.inf).all()
