@@ -196,7 +196,7 @@ def check_forward_enumeration(
             )
         got = forward_logprob(graph, em, 0, symbols)
         worst = max(worst, abs(got - expected))
-        if abs(got - expected) > tolerance:
+        if not abs(got - expected) <= tolerance:  # a NaN fails too
             return CheckResult(
                 "forward_vs_enumeration",
                 False,
@@ -224,7 +224,7 @@ def check_gradient_fd(
         )
         err = gradient_relative_error(analytic, numeric)
         worst = max(worst, err)
-        if err > tolerance:
+        if not err <= tolerance:
             return CheckResult(
                 "gradient_vs_finite_differences", False, f"relative error {err:.3e}"
             )
@@ -247,7 +247,7 @@ def check_matched_graphs_zero(rng: random.Random, instances: int, tolerance: flo
         batch = {task.task_id: [utt]}
         objective = mmi_objective([utt], matched, em)
         grad, _ = mmi_gradient(batch, [matched], em)
-        if abs(objective) > tolerance or grad.max_abs() > tolerance:
+        if not (abs(objective) <= tolerance and grad.max_abs() <= tolerance):  # a NaN fails too
             return CheckResult(
                 "matched_graphs_zero",
                 False,

@@ -53,7 +53,7 @@ class EmissionModel:
         """Largest |entry| over the shared and every bias matrix."""
         parts = [np.abs(self.shared).max(initial=0.0)]
         parts.extend(np.abs(b).max(initial=0.0) for b in self.bias.values())
-        return float(max(parts))
+        return float(np.max(parts))  # a NaN anywhere propagates
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,21 @@ emissions cannot all underflow. The total is sum_t (log c_t + m + lift) +
 log sum alpha_hat_T exp(finals); the backward pass runs
 beta_hat_{t-1} = A (e_t * beta_hat_t) / c_t from exp(finals) over that last
 sum, and the state posteriors are alpha_hat * beta_hat, with no exp per
-frame. Every product has the states as rows and a transposed view of
-row-major [B, Q] alphas or betas as its right operand: in every other
-layout tried, a row's rounding depended on the others (gemm's blocking
-varies with the column count). Underflow never turns a reachable state into -inf: a row in which an
-arc from a positive alpha_hat feeds a state whose unnormalized alpha_hat
-falls below _TINY gets its total and occupancy from the arc-generic
-_forward and _backward_betas, in log space; one whose beta_hat does so, at a
-state its alpha_hat reaches, gets its occupancy only, so the total depends
-on the forward pass alone.
+frame. beta_hat is set to 0 wherever alpha_hat is 0: a state the forward
+pass has not reached adds nothing to a posterior, and its beta_hat would
+otherwise grow by about e_q / c_t a frame, up to inf. Every product has the
+states as rows and a transposed view of row-major [B, Q] alphas or betas as
+its right operand: in every other layout tried, a row's rounding depended
+on the others (gemm's blocking varies with the column count).
+
+Underflow never turns a reachable state into -inf: a row in which an arc
+from a positive alpha_hat feeds a state whose unnormalized alpha_hat falls
+below _TINY gets its total and occupancy from the arc-generic _forward and
+_backward_betas, in log space; one whose beta_hat does so, at a state its
+alpha_hat reaches, gets its occupancy only, so the total depends on the
+forward pass alone. Zeroing beta_hat is exact for the other rows: there a
+positive alpha_hat, an arc and a positive emission factor give the next
+state a positive alpha_hat, or the forward check flags the row.
 
 Only the alphas are kept for every frame: the backward sweep overwrites
 each frame's with its state posteriors, which one bincount adds to the
@@ -320,18 +326,17 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     emit = np.exp(lp[np.arange(n_graphs)[:, None], sweep.phone] - top[:, None]).transpose(2, 0, 1).reshape(-1, q)
     at = (sym * n_graphs + graph[:, None]).T
     shift = (top + sweep.lift[:, None]).T.take(at)  # [frames, B]: what each frame's step dropped
-    gather = (lambda product: product) if n_graphs == 1 else (lambda product: product.take(sweep.pick))  # noqa: E731
 
     alphas = np.zeros((frames + 1, batch, q))
     alphas[0, :, 0] = 1.0
     scale = np.zeros((frames, batch))  # c_t; 0 once a row has no path left
     redo = np.zeros(batch, dtype=bool)
     for t in range(1, frames + 1):
-        a = gather(into @ alphas[t - 1].T)
+        a = (into @ alphas[t - 1].T).take(sweep.pick)
         a *= emit.take(at[t - 1], axis=0).T
         low = a < floor_in
         if low.any():
-            low &= gather(arcs_in @ (alphas[t - 1].T > 0))
+            low &= (arcs_in @ (alphas[t - 1].T > 0)).take(sweep.pick)
             redo |= low.any(axis=0) & (t <= lengths)
         # a sum below _TINY has been flagged (or is 0 and the row rejected), so the floor changes no kept row
         np.divide(a, np.maximum(a.sum(axis=0, out=scale[t - 1]), _TINY), out=alphas[t].T)
@@ -347,15 +352,18 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
         totals = np.where(active, np.log(scale) + shift, 0.0).sum(axis=0) + top_final + np.log(z)
 
     def exact(b: int) -> tuple[np.ndarray | None, float]:
-        """Row b's occupancy and total by the arc-generic recursions, in log space."""
+        """Row b's total and, with ``occupancy``, its occupancy, by the
+        arc-generic recursions in log space."""
         g = graph[b]
+        args = (sweep.graphs[g], em_logprobs[sweep.table[g]], sym[b, : lengths[b]])
         try:
-            return _occupancy(sweep.graphs[g], em_logprobs[sweep.table[g]], sym[b, : lengths[b]])
+            return _occupancy(*args) if occupancy else (None, _forward(*args)[1])
         except NoPath:
             return None, -np.inf
 
-    for b in np.flatnonzero(redo):
-        totals[b] = exact(b)[1]
+    redone = {b: exact(b) for b in np.flatnonzero(redo)}  # the backward pass reuses their occupancy
+    for b, (_, total) in redone.items():
+        totals[b] = total
     if not occupancy:
         return totals, None
 
@@ -366,12 +374,15 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     beta = np.zeros((batch, q))  # 0 for a row not yet at its last frame, so its posteriors are 0
     for t in range(frames, 0, -1):
         np.copyto(beta, final, where=(lengths == t)[:, None])
-        b = gather(out @ np.multiply(emit.take(at[t - 1], axis=0), beta).T)
+        b = (out @ np.multiply(emit.take(at[t - 1], axis=0), beta).T).take(sweep.pick)
         low = b < floor_out
         low &= t <= lengths
         if low.any():
-            low &= gather(arcs_out @ (beta.T > 0)) & (alphas[t - 1].T > 0)
+            low &= (arcs_out @ (beta.T > 0)).take(sweep.pick) & (alphas[t - 1].T > 0)
             redo |= low.any(axis=0) & counted
+        # beta_hat stays 0 where alpha_hat is: a state the forward pass has
+        # not reached would otherwise gain about e_q / c_t a frame, up to inf
+        np.copyto(b, 0.0, where=alphas[t - 1].T == 0)
         alphas[t] *= beta  # the frame's posteriors replace its alphas
         np.divide(b.T, divisor[t - 1, :, None], out=beta)
     post = alphas[1:]
@@ -380,7 +391,7 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     base = (sweep.table[graph, None] * n_phones + sweep.phone[graph]) * n_symbols  # [B, Q]
     gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, :, None], em_logprobs.shape)
     for b in np.flatnonzero(redo & counted):
-        gamma[sweep.table[graph[b]]] += exact(b)[0]
+        gamma[sweep.table[graph[b]]] += (redone.get(b) or exact(b))[0]
     return totals, gamma
 
 

@@ -474,6 +474,34 @@ class TestBatchedPass:
             expected += ref_occ
         np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
 
+    def test_unreached_states_keep_a_finite_beta(self, monkeypatch):
+        # a left-to-right chain of 20 phone-0 states, then 2 phone-1 states,
+        # as mmi-check's matched case passes for a denominator. On symbol 0,
+        # phone 0 emits at about -40 nats and phone 1 at about 0, so a
+        # phone-1 state the forward pass has not reached yet would gain about
+        # e^40 a frame in its scaled beta and overflow within 18 frames. The
+        # tail is short, so no alpha underflows and no row is recomputed
+        em = EmissionModel(shared=np.array([[-40.0, 0.0], [0.0, -40.0]]), bias={0: np.zeros((2, 2))})
+        lexicon = {"a": (0,) * 20, "b": (1,) * 2}
+        task = MmiTask(0, ("p0", "p1"), lexicon, build_numerator(["a", "b"], lexicon), alpha=1.0)
+        batch = [TrainingUtterance(0, (0,) * n, ("a", "b")) for n in (22, 23, 26)]
+        lp = em.log_probs(0)
+        calls = self.count_exact_rows(monkeypatch)
+        totals, occ = _forward_backward(_sweep([task.den_graph], [u.symbols for u in batch], [0], [0] * 3),
+                                        lp[None], occupancy=True)
+        assert calls == {"_forward": 0, "_occupancy": 0}
+        monkeypatch.undo()
+        expected = np.zeros((1, *lp.shape))
+        for total, utt in zip(totals, batch):
+            ref_occ, ref_total = emission_occupancy(task.den_graph, lp, utt.symbols)
+            assert total == pytest.approx(ref_total, rel=1e-12)
+            expected += ref_occ
+        np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
+        grad, value = mmi_gradient({0: batch}, [task], em)
+        assert value == pytest.approx(0.0, abs=1e-9)  # the numerator chain runs in log space
+        for got in (grad.shared, grad.bias[0]):
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-9)
 
     @staticmethod
     def count_exact_rows(monkeypatch):
@@ -523,6 +551,21 @@ class TestBatchedPass:
         assert calls == {"_forward": 2, "_occupancy": 2}  # each row once
         monkeypatch.undo()
         assert_gradient_matches_generic(den, batch[0], random.Random(81), lexicon, n_phones=3)
+
+    def test_forward_underflow_recomputes_each_row_once(self, monkeypatch):
+        # the "guard" graph above: every row's alpha underflows at the -800
+        # arc. The forward-only pass needs each row's total alone; the
+        # occupancy pass keeps each row's one log-space occupancy for both
+        arcs = [(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)]
+        graph = HmmGraph(arcs, [-math.inf, -math.inf, 0.0])
+        sweep = _sweep([graph], [(0, 1), (0, 1, 1), (1, 0, 1, 0)], [0], [0] * 3)
+        lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
+        calls = self.count_exact_rows(monkeypatch)
+        _forward_backward(sweep, lp[None], occupancy=False)
+        assert calls == {"_forward": 3, "_occupancy": 0}
+        calls.update(_forward=0)
+        _forward_backward(sweep, lp[None], occupancy=True)
+        assert calls == {"_forward": 3, "_occupancy": 3}  # _occupancy runs _forward
 
 
 class TestChainNumerators:
@@ -585,3 +628,17 @@ def test_emission_rows_normalized_to_machine_precision():
         for t in tasks:
             row_sums = np.exp(em.log_probs(t.task_id)).sum(axis=1)
             assert np.abs(row_sums - 1.0).max() <= 1e-12
+
+
+def test_matched_graphs_check_refuses_a_nan_gradient(monkeypatch):
+    # a NaN compares False with every tolerance, so the check asks for
+    # "<= tolerance", and max_abs returns NaN when any entry is NaN
+    from atckit.mmi import check
+
+    def nan_gradient(batches, tasks, em, plan=None):
+        grad = EmissionModel.zeros(*em.shared.shape, em.bias)
+        grad.bias[tasks[0].task_id][0, 0] = math.nan
+        return grad, 0.0
+
+    monkeypatch.setattr(check, "mmi_gradient", nan_gradient)
+    assert not check.check_matched_graphs_zero(random.Random(0), 1).passed
