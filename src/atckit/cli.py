@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -43,34 +42,12 @@ _DATA_ERRORS = (
     OSError, UnicodeDecodeError, MemoryError,
 )
 
-# The MMI engine imports numpy, about half of a text subcommand's start-up,
-# so the engine's names are bound into this module only on first use: by
-# the MMI handlers, or by an attribute lookup on the module (PEP 562).
-_MMI_NAMES = {
-    "run_verification": ".mmi.check",
-    "build_tasks": ".mmi.train",
-    "load_phone_lexicon": ".mmi.train",
-    "load_training_corpus": ".mmi.train",
-    "pool_corpus": ".mmi.train",
-    "toy_train": ".mmi.train",
-    "POOLED_TASK_ID": ".mmi.train",
-}
 
-
-def _mmi(*names: str) -> list:
-    """The named MMI engine objects as bound on this module, importing each
-    on first use; a binding made before, such as a tracer's wrapper, stays."""
-    bound = globals()
-    for name in names:
-        if name not in bound:
-            bound[name] = getattr(importlib.import_module(_MMI_NAMES[name], __package__), name)
-    return [bound[name] for name in names]
-
-
-def __getattr__(name: str):
-    if name not in _MMI_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _mmi(name)[0]
+def toy_train(*args, **kwargs):
+    """atckit.mmi.train.toy_train, imported on the first call, as the engine imports
+    numpy; mmi-train calls it by this name, so a wrapper bound here sees each run."""
+    from .mmi.train import toy_train
+    return toy_train(*args, **kwargs)
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -248,7 +225,8 @@ def _cmd_wer(args, manifest: dict) -> int:
 
 
 def _cmd_mmi_check(args, manifest: dict) -> int:
-    (run_verification,) = _mmi("run_verification")
+    from .mmi.check import run_verification
+
     checks = run_verification(seed=args.seed)
     all_passed = all(c.passed for c in checks)
     manifest["result"] = {"checks": [c.to_json() for c in checks], "all_passed": all_passed}
@@ -258,9 +236,8 @@ def _cmd_mmi_check(args, manifest: dict) -> int:
 def _cmd_mmi_train(args, manifest: dict) -> int:
     import numpy as np
 
-    build_tasks, load_phone_lexicon, load_training_corpus, pool_corpus, toy_train, pooled_id = _mmi(
-        "build_tasks", "load_phone_lexicon", "load_training_corpus", "pool_corpus", "toy_train", "POOLED_TASK_ID"
-    )
+    from .mmi.train import POOLED_TASK_ID, build_tasks, load_phone_lexicon, load_training_corpus, pool_corpus
+
     corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols)
     if not corpus:
         raise CorpusFormatError(f"{args.corpus}: no training utterances")
@@ -269,7 +246,7 @@ def _cmd_mmi_train(args, manifest: dict) -> int:
     if args.mode == "multitask":
         plan = [(corpus, args.alpha, "shared", {tid: f"bias_{tid}" for tid in sorted(corpus)})]
     elif args.mode == "pooled":
-        plan = [(pool_corpus(corpus), 1.0, "shared", {pooled_id: f"bias_{pooled_id}"})]
+        plan = [(pool_corpus(corpus), 1.0, "shared", {POOLED_TASK_ID: f"bias_{POOLED_TASK_ID}"})]
     else:  # single: one independent model per task
         plan = [
             ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})

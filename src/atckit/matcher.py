@@ -19,11 +19,10 @@ words of ``callsign.spoken_heads`` right before it, compared as tokens.
 Variants are sliced from the utterance's tokens at a hit. The code is
 exactly three letters, so a well-formed entry's tail is ``raw[3:]``: only
 the entries whose ``raw[3:]`` occurs in the written string are parsed.
-The matcher lives for one run and keeps three plain dicts, each emptied
+The matcher lives for one run and keeps two plain dicts, each emptied
 before it would pass ``MEMO_SIZE`` entries: each screened entry's callsign
-and heads (``None`` when malformed), each airline code's heads, which
-many entries share, and whether each entry is malformed, for the
-per-occurrence count ``stats`` takes.
+and heads (``None`` when malformed), and whether each entry is malformed,
+for the per-occurrence count ``stats`` takes.
 
 ``find_matches`` searches explicit variant entries. Over
 ``expand_context_callsigns`` it is the full expansion ``ContextMatcher``
@@ -162,8 +161,6 @@ class ContextMatcher:
         self.malformed: dict[str, bool] = {}
         # raw entry -> (callsign, spoken_heads), or None when malformed; from its first screen pass on
         self.hits: dict[str, tuple[Callsign, tuple[tuple[VariantKind, tuple[str, ...]], ...]] | None] = {}
-        # airline code -> spoken_heads, which depend on the code alone
-        self.heads: dict[str, tuple[tuple[VariantKind, tuple[str, ...]], ...]] = {}
 
     def __call__(self, utt: Utterance, stats: FilterStats | None = None) -> list[CallsignMatch]:
         tokens = utt.tokens
@@ -185,7 +182,8 @@ class ContextMatcher:
             hit = self.hits.get(raw, _UNSEEN)
             if hit is _UNSEEN:
                 found = CALLSIGN_RE.fullmatch(raw)
-                hit = _remember(self.hits, raw, found and (Callsign(*found.groups()), self._heads(found[1])))
+                hit = found and (Callsign(*found.groups()), spoken_heads(found[1], self.lexicon))
+                _remember(self.hits, raw, hit)
             if hit is None:
                 continue
             cs, heads = hit
@@ -201,10 +199,6 @@ class ContextMatcher:
                 start = written.find(tail, start + 1)
         matches.sort(key=_match_order)
         return matches
-
-    def _heads(self, code: str) -> tuple[tuple[VariantKind, tuple[str, ...]], ...]:
-        heads = self.heads.get(code)
-        return _remember(self.heads, code, spoken_heads(code, self.lexicon)) if heads is None else heads
 
 
 def filter_corpus(

@@ -22,6 +22,7 @@ from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax
 from .objective import (
     NoPath,
     _forward_backward,
+    _pad,
     _sweep,
     compile_plan,
     emission_occupancy,
@@ -107,6 +108,11 @@ def gradient_relative_error(analytic: EmissionModel, numeric: EmissionModel) -> 
     return float(np.linalg.norm(a - n)) / denom
 
 
+def random_matrix(rng: random.Random, rows: int, cols: int, bound: float) -> np.ndarray:
+    """A [rows, cols] array of rng.uniform(-bound, bound) draws, row by row."""
+    return np.array([[rng.uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+
+
 def random_instance(rng: random.Random, n_tasks: int = 1) -> tuple[
     list[MmiTask], dict[int, list[TrainingUtterance]], EmissionModel
 ]:
@@ -140,15 +146,8 @@ def random_instance(rng: random.Random, n_tasks: int = 1) -> tuple[
         )
         batches[tid] = utts
     em = EmissionModel(
-        shared=np.array(
-            [[rng.uniform(-1.0, 1.0) for _ in range(n_symbols)] for _ in range(n_phones)]
-        ),
-        bias={
-            t.task_id: np.array(
-                [[rng.uniform(-0.5, 0.5) for _ in range(n_symbols)] for _ in range(n_phones)]
-            )
-            for t in tasks
-        },
+        shared=random_matrix(rng, n_phones, n_symbols, 1.0),
+        bias={t.task_id: random_matrix(rng, n_phones, n_symbols, 0.5) for t in tasks},
     )
     return tasks, batches, em
 
@@ -178,12 +177,8 @@ def check_forward_enumeration(
         n_phones = rng.randint(1, 3)
         n_symbols = rng.randint(2, 4)
         graph = random_graph(rng, n_states, n_phones)
-        em = EmissionModel(
-            shared=np.array(
-                [[rng.uniform(-1.0, 1.0) for _ in range(n_symbols)] for _ in range(n_phones)]
-            ),
-            bias={0: np.zeros((n_phones, n_symbols))},
-        )
+        shared = random_matrix(rng, n_phones, n_symbols, 1.0)
+        em = EmissionModel(shared=shared, bias={0: np.zeros((n_phones, n_symbols))})
         symbols = tuple(rng.randrange(n_symbols) for _ in range(rng.randint(0, 5)))
         expected = enumerate_logprob(graph, em, 0, symbols)
         if expected == -math.inf:
@@ -281,16 +276,16 @@ def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
     guard = HmmGraph([(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)], [-math.inf, -math.inf, 0.0])
     guard_seqs = [(0, 1), (0, 1, 1), (1, 0, 1, 0)]
     guard_lp = log_softmax(np.array([[0.3, -0.4], [-1.1, 0.6]]))[None]
-    yield _sweep([guard], guard_seqs, [0], [0] * 3), guard_lp, [guard] * 3, [0] * 3, guard_seqs
+    yield _sweep([guard], _pad(guard_seqs), [0] * 3), guard_lp, [guard] * 3, [0] * 3, guard_seqs
     # every phone emits symbol 1 at about -800 nats, so e^E underflows for all of
     # them; the denominators' emission shift keeps these totals finite
     shifted = build_denominator(range(3), phone_bigram_counts([[0, 1, 2, 1], [2, 0]]))
     shifted_seqs = [(1, 0, 1), (0, 1, 1, 1, 0), (1,)]
     shifted_lp = log_softmax(np.array([[0.0, -800.0], [0.4, -799.5], [-0.3, -800.8]]))[None]
-    yield _sweep([shifted], shifted_seqs, [0], [0] * 3), shifted_lp, [shifted] * 3, [0] * 3, shifted_seqs
+    yield _sweep([shifted], _pad(shifted_seqs), [0] * 3), shifted_lp, [shifted] * 3, [0] * 3, shifted_seqs
     for _ in range(instances):
         n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
-        logits = np.array([[rng.uniform(-3.0, 3.0) for _ in range(n_symbols)] for _ in range(n_phones)])
+        logits = random_matrix(rng, n_phones, n_symbols, 3.0)
         drawn = [random_graph(rng, rng.randint(1, 4), n_phones) for _ in range(3)]
         graphs = [HmmGraph([(s, d, d % n_phones, w) for s, d, _, w in g.arcs.tolist() if d], g.finals) for g in drawn]
         seqs = [tuple(rng.randrange(n_symbols) for _ in range(rng.randint(0, 5))) for _ in graphs]
@@ -301,8 +296,8 @@ def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
         owner = [u.task_id - 1 for u in plan.rows]  # random_instance numbers its tasks from 1
         plan_seqs = [u.symbols for u in plan.rows]
         lp, plan_lp = log_softmax(logits)[None], np.stack([em.log_probs(t.task_id) for t in tasks])
-        yield _sweep(graphs, seqs, [0] * 3, range(3)), lp, graphs, [0] * 3, seqs
-        yield _sweep(graphs[:1], seqs, [0], [0] * 3), lp, graphs[:1] * 3, [0] * 3, seqs
+        yield _sweep(graphs, _pad(seqs), range(3)), np.repeat(lp, 3, 0), graphs, range(3), seqs
+        yield _sweep(graphs[:1], _pad(seqs), [0] * 3), lp, graphs[:1] * 3, [0] * 3, seqs
         yield plan.den, plan_lp, [tasks[k].den_graph for k in owner], owner, plan_seqs
         yield plan.num, plan_lp, [tasks[k].numerator_graph(u.words) for k, u in zip(owner, plan.rows)], owner, plan_seqs
 

@@ -38,7 +38,7 @@ on the others (gemm's blocking varies with the column count).
 Underflow never turns a reachable state into -inf: a row in which an arc
 from a positive alpha_hat feeds a state whose unnormalized alpha_hat falls
 below _TINY gets its total and occupancy from the arc-generic _forward and
-_backward_betas, in log space; one whose beta_hat does so, at a state its
+emission_occupancy, in log space; one whose beta_hat does so, at a state its
 alpha_hat reaches, gets its occupancy only, so the total depends on the
 forward pass alone. Zeroing beta_hat is exact for the other rows: there a
 positive alpha_hat, an arc and a positive emission factor give the next
@@ -120,12 +120,6 @@ def emission_occupancy(
     phone p emits symbol s, under the posterior over accepting paths;
     summing gamma over everything gives the sequence length.
     """
-    return _occupancy(graph, em_logprobs, symbols)
-
-
-def _occupancy(graph: HmmGraph, em_logprobs: np.ndarray, symbols: Sequence[int]) -> tuple[np.ndarray, float]:
-    """emission_occupancy, under a name the benchmark's tracer leaves alone,
-    for the rows the scaled denominator pass recomputes."""
     src, dst, phone, weight = (graph.arcs[f] for f in ARC_DTYPE.names)
     alphas, total = _forward(graph, em_logprobs, symbols)
     betas = _backward_betas(graph, em_logprobs, symbols)
@@ -200,8 +194,7 @@ class Sweep(NamedTuple):
     graphs: tuple[HmmGraph, ...]  # for the rows recomputed in log space
     sym: np.ndarray  # [B, frames] symbols, zero-padded
     lengths: np.ndarray  # [B] frames per row
-    graph: np.ndarray  # [B] each row's graph
-    table: np.ndarray  # [G] each graph's emission table
+    graph: np.ndarray  # [B] each row's graph, which reads emission table graph[b]
     phone: np.ndarray  # [G, Q] each state's phone
     finals: np.ndarray  # [G, Q] log final weights
     lift: np.ndarray  # [G] each graph's largest log weight, 0 when it has no arc
@@ -223,31 +216,30 @@ def _binned(post: np.ndarray, base: np.ndarray, sym: np.ndarray, shape: tuple) -
     return gamma.reshape(shape)
 
 
-def _sweep(graphs: Sequence[HmmGraph], symbol_seqs: Sequence[Sequence[int]], table, graph) -> Sweep:
-    """The graphs in state form over the sequences, for _forward_backward:
-    row b runs on shared graph[b]; graph g reads emission table table[g].
-    The stacked linear weights are built here, once for every pass."""
+def _sweep(graphs: Sequence[HmmGraph], padded: tuple[np.ndarray, np.ndarray], graph) -> Sweep:
+    """The graphs in state form over _pad's (sym, lengths), for _forward_backward:
+    row b runs on shared graph[b], which reads emission table graph[b]. The
+    stacked linear weights are built here, once for every pass."""
     weights, phone, finals = _state_form(graphs)
     # each graph's weights drop by their max, so exp cannot overflow; the
     # pass adds it back, since every frame takes one weight
     lift = weights.max(axis=(1, 2))
     lift[lift == -np.inf] = 0.0
     weights -= lift[:, None, None]
-    rows, table = np.asarray(graph, dtype=np.intp), np.asarray(table, dtype=np.intp)
+    rows = np.asarray(graph, dtype=np.intp)
     q = phone.shape[1]
     sides = np.stack([weights.transpose(0, 2, 1), weights])  # as Sweep.linear, [2, G, Q, Q]
     arcs = sides > -np.inf
     floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, rows].transpose(0, 2, 1).copy()
     pick = (rows * q + np.arange(q)[:, None]) * len(rows) + np.arange(len(rows))
-    sym, lengths = _pad(symbol_seqs)
-    return Sweep(tuple(graphs), sym, lengths, rows, table, phone, finals, lift, np.exp(sides).reshape(2, -1, q),
+    return Sweep(tuple(graphs), *padded, rows, phone, finals, lift, np.exp(sides).reshape(2, -1, q),
                  arcs.reshape(2, -1, q), floor, pick)
 
 
-def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequence[int]], table) -> Chains:
-    """Row b's numerator, the chain over phone_seqs[b] on table table[b], as
-    _sweep reads build_numerator's graph (state q > 0 emits phone q - 1), but
-    kept as its two diagonals, stay and advance."""
+def _chain_sweep(phone_seqs: Sequence[Sequence[int]], padded: tuple[np.ndarray, np.ndarray], table) -> Chains:
+    """Row b's numerator over _pad's (sym, lengths), the chain over phone_seqs[b]
+    on table table[b], as _sweep reads build_numerator's graph (state q > 0
+    emits phone q - 1), but kept as its two diagonals, stay and advance."""
     k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
     state = np.arange(1 + int(k.max(initial=0)))
     emitting = (state >= 1) & (state <= k)
@@ -255,7 +247,7 @@ def _chain_sweep(phone_seqs: Sequence[Sequence[int]], symbol_seqs: Sequence[Sequ
     phone[emitting] = [p for seq in phone_seqs for p in seq]
     stay, advance = np.where(emitting, 0.0, -np.inf), np.where(state < k, 0.0, -np.inf)
     finals = np.where(state == k, 0.0, -np.inf)
-    return Chains(*_pad(symbol_seqs), np.asarray(table, dtype=np.intp), phone, finals, stay, advance)
+    return Chains(*padded, np.asarray(table, dtype=np.intp), phone, finals, stay, advance)
 
 
 def _forward_backward(
@@ -264,8 +256,9 @@ def _forward_backward(
     """Log-likelihoods [B] of a _chain_sweep's or _sweep's rows and, with
     ``occupancy``, the emission counts gamma [T, n_phones, n_symbols] over
     every row, or over the rows the boolean mask ``counted`` marks;
-    ``em_logprobs`` stacks the T emission tables. A row no path accepts gets
-    total -inf and adds nothing to gamma; nor do the padded frames.
+    ``em_logprobs`` stacks the T emission tables, one per graph of a _sweep.
+    A row no path accepts gets total -inf and adds nothing to gamma; nor do
+    the padded frames.
     """
     run = _chain_pass if isinstance(sweep, Chains) else _scaled_pass
     return run(sweep, em_logprobs, occupancy, counted)
@@ -319,11 +312,11 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     (into, out), (arcs_in, arcs_out), (floor_in, floor_out) = sweep.linear, sweep.arcs, sweep.floor
     n_graphs, q = sweep.phone.shape
     batch, frames = sym.shape
-    lp = em_logprobs[sweep.table]
-    top = lp.max(axis=1)  # [G, symbols]: each symbol's largest emission over the phones
+    top = em_logprobs.max(axis=1)  # [G, symbols]: each symbol's largest emission over the phones
     top[~(top > -np.inf)] = 0.0  # a symbol no phone emits, or NaN parameters, stay unshifted
-    # emit[x * G + g, q] = exp(E[table[g], phone[g, q], x] - top[g, x]), so frame t reads its rows at[t]
-    emit = np.exp(lp[np.arange(n_graphs)[:, None], sweep.phone] - top[:, None]).transpose(2, 0, 1).reshape(-1, q)
+    # emit[x * G + g, q] = exp(E[g, phone[g, q], x] - top[g, x]), so frame t reads its rows at[t]
+    emit = np.exp(em_logprobs[np.arange(n_graphs)[:, None], sweep.phone] - top[:, None])
+    emit = emit.transpose(2, 0, 1).reshape(-1, q)
     at = (sym * n_graphs + graph[:, None]).T
     shift = (top + sweep.lift[:, None]).T.take(at)  # [frames, B]: what each frame's step dropped
 
@@ -355,9 +348,9 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
         """Row b's total and, with ``occupancy``, its occupancy, by the
         arc-generic recursions in log space."""
         g = graph[b]
-        args = (sweep.graphs[g], em_logprobs[sweep.table[g]], sym[b, : lengths[b]])
+        args = (sweep.graphs[g], em_logprobs[g], sym[b, : lengths[b]])
         try:
-            return _occupancy(*args) if occupancy else (None, _forward(*args)[1])
+            return emission_occupancy(*args) if occupancy else (None, _forward(*args)[1])
         except NoPath:
             return None, -np.inf
 
@@ -388,10 +381,10 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     post = alphas[1:]
     post[:, redo] = 0.0
     n_phones, n_symbols = em_logprobs.shape[1:]
-    base = (sweep.table[graph, None] * n_phones + sweep.phone[graph]) * n_symbols  # [B, Q]
+    base = (graph[:, None] * n_phones + sweep.phone[graph]) * n_symbols  # [B, Q]
     gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, :, None], em_logprobs.shape)
     for b in np.flatnonzero(redo & counted):
-        gamma[sweep.table[graph[b]]] += (redone.get(b) or exact(b))[0]
+        gamma[graph[b]] += (redone.get(b) or exact(b))[0]
     return totals, gamma
 
 
@@ -418,10 +411,10 @@ def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequ
     for utt, k in zip(rows, owner):
         if utt.task_id != ids[k]:
             raise ValueError(f"utterance of task {utt.task_id} in batch for task {ids[k]}")
-    symbols = [utt.symbols for utt in rows]
+    padded = _pad([utt.symbols for utt in rows])
     phones = [transcript_phones(utt.words, tasks[k].lexicon) for k, utt in zip(owner, rows)]
-    den = _sweep([task.den_graph for task in tasks], symbols, np.arange(len(tasks)), owner)
-    return Plan(tuple(tasks), rows, _chain_sweep(phones, symbols, owner), den)
+    den = _sweep([task.den_graph for task in tasks], padded, owner)
+    return Plan(tuple(tasks), rows, _chain_sweep(phones, padded, owner), den)
 
 
 def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:

@@ -948,6 +948,8 @@ def loaded():
     return [name for name in ("numpy", "atckit.mmi") if name in sys.modules]
 
 report = [["import", 0, loaded()]]
+cli.toy_train
+report.append(["toy_train", 0, loaded()])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -983,8 +985,9 @@ class TestFreshProcess:
         proc = run_fresh(["-c", _LOADED_SCRIPT, json.dumps(runs)])
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert [(name, code) for name, code, _ in report] == [("import", 0)] + [(argv[0], 0) for argv in runs]
-        assert [modules for _, _, modules in report] == [[]] * 6 + [["numpy", "atckit.mmi"]]
+        steps = [("import", 0), ("toy_train", 0)] + [(argv[0], 0) for argv in runs]  # toy_train: a lookup
+        assert [(name, code) for name, code, _ in report] == steps
+        assert [modules for _, _, modules in report] == [[]] * 7 + [["numpy", "atckit.mmi"]]
 
     @pytest.mark.parametrize("case", ["oov", "divergent"])
     def test_mmi_train_data_error_prints_one_manifest(self, tmp_path, case):

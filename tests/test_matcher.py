@@ -6,12 +6,10 @@ import string
 
 import pytest
 
-from atckit import matcher
 from atckit.callsign import (
     VariantKind,
     expand_callsign,
     parse_callsign,
-    spoken_heads,
 )
 from atckit.corpus import (
     CorpusFormatError,
@@ -231,21 +229,9 @@ class TestContextMatcher:
         for _ in range(2):  # the second call reads the memos the first one filled
             assert self.check(utt, telephony, False, match)
 
-    def test_heads_are_spoken_once_per_code(self, telephony, monkeypatch):
-        # spoken_heads depends on the airline code alone, so entries sharing a
-        # code share one call, however many distinct entries there are
-        codes = []
-        monkeypatch.setattr(matcher, "spoken_heads", lambda code, lexicon: codes.append(code) or spoken_heads(code, lexicon))
-        match = ContextMatcher(telephony)
-        text = "skytravel eight four juliett one two three seven lufthansa four"
-        utt = Utterance("u", tokenize(text), context_callsigns=("TVS84J", "TVS12", "TVS7", "DLH4", "TVS84J"))
-        for _ in range(2):
-            assert self.check(utt, telephony, False, match)
-        assert sorted(codes) == ["DLH", "TVS"]
-
     def test_memos_stay_bounded(self, telephony):
         def memos():
-            return match.malformed, match.hits, match.heads
+            return match.malformed, match.hits
 
         rng = random.Random(38)
         match = ContextMatcher(telephony)

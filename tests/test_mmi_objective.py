@@ -23,7 +23,7 @@ from atckit.mmi import (
     phone_bigram_counts,
 )
 from atckit.mmi.check import _batched_cases, random_graph, random_instance
-from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _state_form, _sweep
+from atckit.mmi.objective import _backward_betas, _forward, _forward_backward, _pad, _state_form, _sweep
 
 from synth import enumerate_logprob_oracle, fd_gradient_oracle, relative_gradient_error
 
@@ -371,10 +371,9 @@ class TestBatchedPass:
         owner = sorted(rng.randrange(n_tasks) for _ in seqs)
         lp = np.stack([log_softmax(np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n_phones)]))
                        for _ in dens])
-        tables = list(range(n_tasks))
-        totals, _ = _forward_backward(_sweep(dens, seqs, tables, owner), lp, occupancy=False)
+        totals, _ = _forward_backward(_sweep(dens, _pad(seqs), owner), lp, occupancy=False)
         for keep in ([2, 13, 31], [17, 38], [1, 8, 12, 17, 28, 31, 39]):
-            sweep = _sweep(dens, [seqs[i] for i in keep], tables, [owner[i] for i in keep])
+            sweep = _sweep(dens, _pad([seqs[i] for i in keep]), [owner[i] for i in keep])
             np.testing.assert_array_equal(_forward_backward(sweep, lp, occupancy=False)[0], totals[keep])
 
     def test_underflowing_linear_sum_is_recomputed(self):
@@ -466,7 +465,7 @@ class TestBatchedPass:
         # each total is -inf
         graph = HmmGraph(arcs, finals)
         lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
-        totals, occ = _forward_backward(_sweep([graph], seqs, [0], [0] * len(seqs)), lp[None], occupancy=True)
+        totals, occ = _forward_backward(_sweep([graph], _pad(seqs), [0] * len(seqs)), lp[None], occupancy=True)
         expected = np.zeros((1, *lp.shape))
         for total, seq in zip(totals, seqs):
             ref_occ, ref_total = emission_occupancy(graph, lp, seq)
@@ -487,9 +486,9 @@ class TestBatchedPass:
         batch = [TrainingUtterance(0, (0,) * n, ("a", "b")) for n in (22, 23, 26)]
         lp = em.log_probs(0)
         calls = self.count_exact_rows(monkeypatch)
-        totals, occ = _forward_backward(_sweep([task.den_graph], [u.symbols for u in batch], [0], [0] * 3),
+        totals, occ = _forward_backward(_sweep([task.den_graph], _pad([u.symbols for u in batch]), [0] * 3),
                                         lp[None], occupancy=True)
-        assert calls == {"_forward": 0, "_occupancy": 0}
+        assert calls == {"_forward": 0, "emission_occupancy": 0}
         monkeypatch.undo()
         expected = np.zeros((1, *lp.shape))
         for total, utt in zip(totals, batch):
@@ -506,7 +505,7 @@ class TestBatchedPass:
     @staticmethod
     def count_exact_rows(monkeypatch):
         """Counts of the arc-generic recursions the scaled pass falls back to."""
-        calls = {"_forward": 0, "_occupancy": 0}
+        calls = {"_forward": 0, "emission_occupancy": 0}
         for name in calls:
             original = getattr(objective, name)
 
@@ -525,7 +524,7 @@ class TestBatchedPass:
         sweep, lp, graphs, _, seqs = list(_batched_cases(random.Random(0), 0))[1]
         calls = self.count_exact_rows(monkeypatch)
         totals, _ = _forward_backward(sweep, lp, occupancy=False)
-        assert calls == {"_forward": 0, "_occupancy": 0}
+        assert calls == {"_forward": 0, "emission_occupancy": 0}
         for total, graph, seq in zip(totals, graphs, seqs):
             expected = emission_occupancy(graph, lp[0], seq)[1]
             assert expected < -799 * seq.count(1)
@@ -545,10 +544,10 @@ class TestBatchedPass:
         batch = {0: [TrainingUtterance(0, (0, 1, 1, 0), ("b",)), TrainingUtterance(0, (1, 0, 1), ("a",))]}
         calls = self.count_exact_rows(monkeypatch)
         value = multitask_objective(batch, [task], em)
-        assert calls == {"_forward": 0, "_occupancy": 0}
+        assert calls == {"_forward": 0, "emission_occupancy": 0}
         grad, objective_value = mmi_gradient(batch, [task], em)
         assert objective_value == value
-        assert calls == {"_forward": 2, "_occupancy": 2}  # each row once
+        assert calls == {"_forward": 2, "emission_occupancy": 2}  # each row once
         monkeypatch.undo()
         assert_gradient_matches_generic(den, batch[0], random.Random(81), lexicon, n_phones=3)
 
@@ -558,14 +557,14 @@ class TestBatchedPass:
         # occupancy pass keeps each row's one log-space occupancy for both
         arcs = [(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)]
         graph = HmmGraph(arcs, [-math.inf, -math.inf, 0.0])
-        sweep = _sweep([graph], [(0, 1), (0, 1, 1), (1, 0, 1, 0)], [0], [0] * 3)
+        sweep = _sweep([graph], _pad([(0, 1), (0, 1, 1), (1, 0, 1, 0)]), [0] * 3)
         lp = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6]]), bias={0: np.zeros((2, 2))}).log_probs(0)
         calls = self.count_exact_rows(monkeypatch)
         _forward_backward(sweep, lp[None], occupancy=False)
-        assert calls == {"_forward": 3, "_occupancy": 0}
+        assert calls == {"_forward": 3, "emission_occupancy": 0}
         calls.update(_forward=0)
         _forward_backward(sweep, lp[None], occupancy=True)
-        assert calls == {"_forward": 3, "_occupancy": 3}  # _occupancy runs _forward
+        assert calls == {"_forward": 3, "emission_occupancy": 3}  # emission_occupancy runs _forward
 
 
 class TestChainNumerators:
@@ -589,6 +588,7 @@ class TestChainNumerators:
         for _ in range(20):
             task, batch = self.random_plan(rng)
             plan = objective.compile_plan({0: batch}, [task])
+            assert plan.num.sym is plan.den.sym and plan.num.lengths is plan.den.lengths  # padded once
             weights, phone, finals = _state_form([build_numerator(u.words, task.lexicon) for u in batch])
             stay, advance = plan.num.stay, plan.num.advance
             np.testing.assert_array_equal(plan.num.phone, phone)
