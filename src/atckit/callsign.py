@@ -82,6 +82,7 @@ class MalformedCallsign(ValueError):
 
 
 class VariantKind(Enum):
+    # per-record code reads a member's string as _value_: the value property costs a Python call per read
     FULL_TELEPHONY = "full_telephony"
     LETTER_SPELLED = "letter_spelled"
     SHORTENED = "shortened"

@@ -31,6 +31,7 @@ RULE_ORDERS = ("keywords-first", "callsign-first")
 
 
 class FiredRule(Enum):
+    # per-record code reads a member's string as _value_: the value property costs a Python call per read
     ATCO_KEYWORD = "atco_keyword"
     PILOT_KEYWORD = "pilot_keyword"
     CALLSIGN_EARLY = "callsign_early"
@@ -57,13 +58,13 @@ class ClassificationTrace:
             raise ValueError(f"rule {self.fired_rule.value} with evidence={self.evidence!r}")
 
     def to_json(self) -> dict:
-        obj: dict = {"rule": self.fired_rule.value, "low_confidence": self.low_confidence}
+        obj: dict = {"rule": self.fired_rule._value_, "low_confidence": self.low_confidence}
         if isinstance(self.evidence, str):
             obj["evidence"] = {"keyword": self.evidence}
         elif isinstance(self.evidence, CallsignMatch):
             obj["evidence"] = {
                 "callsign": self.evidence.callsign.raw,
-                "variant_kind": self.evidence.variant.kind.value,
+                "variant_kind": self.evidence.variant.kind._value_,
                 "tokens": list(self.evidence.variant.tokens),
                 "start": self.evidence.start_index,
                 "end": self.evidence.end_index,

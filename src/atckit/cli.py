@@ -137,7 +137,7 @@ def _cmd_filter(args, manifest: dict) -> int:
             record["matches"] = [
                 {
                     "callsign": m.callsign.raw,
-                    "variant_kind": m.variant.kind.value,
+                    "variant_kind": m.variant.kind._value_,
                     "start": m.start_index,
                     "end": m.end_index,
                 }
@@ -170,13 +170,13 @@ def _cmd_classify(args, manifest: dict) -> int:
         nonlocal low_confidence
         halves = {"atco": atco, "pilot": pilot}
         for utt, label, trace in stream:
-            counts[label.value] += 1
-            rules[trace.fired_rule.value] += 1
+            counts[label._value_] += 1
+            rules[trace.fired_rule._value_] += 1
             if trace.fired_rule is FiredRule.CALLSIGN_EARLY:
-                evidence_by_kind[trace.evidence.variant.kind.value] += 1
+                evidence_by_kind[trace.evidence.variant.kind._value_] += 1
             low_confidence += trace.low_confidence
-            halves[label.value].write(json.dumps(utt.to_json()) + "\n")
-            traces.write(json.dumps({"id": utt.id, "role": label.value, **trace.to_json()}) + "\n")
+            halves[label._value_].write(json.dumps(utt.to_json()) + "\n")
+            traces.write(json.dumps({"id": utt.id, "role": label._value_, **trace.to_json()}) + "\n")
 
     # the marker exists only while the three files come from one run
     done = Path(f"{args.out_prefix}.done")

@@ -32,6 +32,7 @@ class CorpusFormatError(ValueError):
 class RoleLabel(Enum):
     """Speaker role of one utterance: ground controller or pilot."""
 
+    # per-record code reads a member's string as _value_: the value property costs a Python call per read
     ATCO = "atco"
     PILOT = "pilot"
 
@@ -99,7 +100,7 @@ class Utterance:
     def to_json(self) -> dict:
         obj: dict = {"id": self.id, "text": " ".join(self.tokens)}
         if self.gold_role is not None:
-            obj["role"] = self.gold_role.value
+            obj["role"] = self.gold_role._value_
         if self.context_callsigns is not None:
             obj["callsigns"] = list(self.context_callsigns)
         return obj

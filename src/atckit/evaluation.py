@@ -160,30 +160,43 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerBreakdown:
     over a deletion-insertion pair), that is, the one with the most aligned
     word pairs. That choice pins the S/D/I split deterministically, never
     changes the total, and keeps the split symmetric: swapping the arguments
-    swaps deletions with insertions and leaves substitutions alone. The
-    Wagner-Fischer table keeps one integer per cell, ``edits * k - pairs``
-    with ``k = min(n, m) + 1``: a cell has fewer than ``k`` aligned pairs,
-    so the smallest integer has the fewest edits and, among those, the most
-    pairs.
+    swaps deletions with insertions and leaves substitutions alone.
+
+    The words both sequences open with, and then those they close with,
+    are counted as aligned pairs first, and the Wagner-Fischer table covers
+    only the middles left between them. Under the cost (edits, -pairs),
+    pairing two equal first words is never worse than deleting or inserting
+    one of them, and the same holds at the end, so neither the total nor
+    the split changes. The table keeps one integer per cell,
+    ``edits * k - pairs`` with ``k`` one more than the shorter middle's
+    length: a cell has fewer than ``k`` aligned pairs, so the smallest
+    integer has the fewest edits and, among those, the most pairs.
     """
     n, m = len(ref), len(hyp)
     if n == 0:
         if m > 0:
             raise EmptyReference(f"empty reference against {m} hypothesis words")
         return WerBreakdown()
-    k = min(n, m) + 1
-    prev = list(range(0, (m + 1) * k, k))
-    for i, ref_word in enumerate(ref, 1):
+    lo, top = 0, min(n, m)
+    while lo < top and ref[lo] == hyp[lo]:
+        lo += 1
+    hi, top = 0, top - lo
+    while hi < top and ref[n - 1 - hi] == hyp[m - 1 - hi]:
+        hi += 1
+    mid_ref, mid_hyp = ref[lo : n - hi], hyp[lo : m - hi]
+    k = min(len(mid_ref), len(mid_hyp)) + 1
+    prev = list(range(0, (len(mid_hyp) + 1) * k, k))
+    for i, ref_word in enumerate(mid_ref, 1):
         left = i * k
         cur = [left]
-        for hyp_word, corner, up in zip(hyp, prev, prev[1:]):
+        for hyp_word, corner, up in zip(mid_hyp, prev, prev[1:]):
             pair = corner - 1 if ref_word == hyp_word else corner + k - 1
             gap = (up if up < left else left) + k
             left = gap if gap < pair else pair
             cur.append(left)
         prev = cur
-    total = -(-prev[m] // k)  # ceil, as 0 <= pairs < k
-    diag = total * k - prev[m]
+    total = -(-prev[-1] // k)  # ceil, as 0 <= pairs < k
+    diag = total * k - prev[-1] + lo + hi
     # with the diagonal count fixed, the split is determined algebraically
     return WerBreakdown(
         substitutions=total + 2 * diag - n - m,

@@ -88,7 +88,7 @@ class FilterStats:
 
 def _match_order(m: CallsignMatch) -> tuple:
     # by start, longer first, then a stable tie-break over the match's content
-    return m.start_index, m.start_index - m.end_index, m.callsign.raw, m.variant.kind.value, m.variant.tokens
+    return m.start_index, m.start_index - m.end_index, m.callsign.raw, m.variant.kind._value_, m.variant.tokens
 
 
 def find_matches(utt: Utterance, variants: Iterable[VariantEntry]) -> list[CallsignMatch]:
@@ -230,7 +230,7 @@ def filter_corpus(
                 stats.kept += 1
                 stats.tokens_kept += len(utt.tokens)
                 for m in matches:
-                    stats.matches_by_kind[m.variant.kind.value] += 1
+                    stats.matches_by_kind[m.variant.kind._value_] += 1
                 yield utt, matches
             else:
                 stats.no_match += 1

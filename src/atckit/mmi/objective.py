@@ -308,6 +308,14 @@ def _chain_pass(chains: Chains, em_logprobs: np.ndarray, occupancy: bool, counte
 def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None):
     """_forward_backward of shared graphs, scaled in probability space; see
     the module notes."""
+    if len(sweep.lengths) == 1:
+        # a lone row would take numpy's one-column paths (a gemv product, a
+        # pairwise column sum), which round otherwise than a batch's: run it
+        # beside a copy of itself that counts nothing, and drop the copy's total
+        twice = _sweep(sweep.graphs, (sweep.sym.repeat(2, axis=0), sweep.lengths.repeat(2)), sweep.graph.repeat(2))
+        alone = np.array([True if counted is None else counted[0], False])
+        totals, gamma = _scaled_pass(twice, em_logprobs, occupancy, alone)
+        return totals[:1], gamma
     sym, lengths, graph = sweep.sym, sweep.lengths, sweep.graph
     (into, out), (arcs_in, arcs_out), (floor_in, floor_out) = sweep.linear, sweep.arcs, sweep.floor
     n_graphs, q = sweep.phone.shape

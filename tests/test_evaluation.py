@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from atckit import evaluation
 from atckit.corpus import RoleLabel
 from atckit.evaluation import (
     ConfusionMatrix,
@@ -16,6 +17,39 @@ from atckit.evaluation import (
 from synth import edit_distance, wer_split_oracle
 
 A, P = RoleLabel.ATCO, RoleLabel.PILOT
+
+
+# pairs whose first or last words recur inside them, one side a prefix or a
+# suffix of the other, and middles left empty once the shared ends are paired
+SHARED_END_PAIRS = [
+    (["a", "a", "b"], ["a", "b"]),
+    (["a", "b", "a"], ["a"]),
+    (["a", "b"], ["b", "a", "b"]),
+    (["a", "b", "a", "b"], ["a", "b"]),
+    (["a", "b", "c"], ["a", "b", "c"]),
+    (["a"], ["a"]),
+    (["a", "b", "c"], ["a", "b"]),
+    (["a", "b", "c"], ["b", "c"]),
+    (["a", "x", "b"], ["a", "b"]),
+    (["a", "x", "y", "b"], ["a", "z", "b"]),
+    (["a", "b", "b", "a"], ["a", "b", "a"]),
+]
+
+
+def asr_style_pair(rng, vocab):
+    """A reference and a hypothesis made from it at 8 % substitution, 5 %
+    deletion and 5 % insertion per word, the rates of the benchmark's pairs."""
+    ref = [rng.choice(vocab) for _ in range(rng.randint(1, 20))]
+    hyp = []
+    for word in ref:
+        roll = rng.random()
+        if roll < 0.08:
+            hyp.append(rng.choice(vocab))
+        elif roll >= 0.13:
+            hyp.append(word)
+        if rng.random() < 0.05:
+            hyp.append(rng.choice(vocab))
+    return ref, hyp
 
 
 def pairs_from_counts(tp, fn, fp, tn):
@@ -139,6 +173,20 @@ class TestWer:
             assert out.substitutions + out.deletions <= out.ref_words
             assert out.ref_words + out.insertions - out.deletions == len(hyp)
 
+    def test_shared_ends_keep_the_total_and_the_split(self):
+        # wer pairs the shared opening and closing words before its table;
+        # every split must still be the oracle's, both ways round
+        rng = random.Random(57)
+        pairs = SHARED_END_PAIRS + [asr_style_pair(rng, ["a", "b", "c", "d", "e", "f"]) for _ in range(300)]
+        for ref, hyp in pairs:
+            out = wer(ref, hyp)
+            assert out.total_edits == edit_distance(ref, hyp)
+            split = (out.substitutions, out.deletions, out.insertions)
+            assert split == wer_split_oracle(ref, hyp)
+            if hyp:  # swapped, deletions and insertions trade places
+                rev = wer(hyp, ref)
+                assert (rev.substitutions, rev.insertions, rev.deletions) == split
+
     def test_edit_symmetry_swaps_deletions_and_insertions(self):
         rng = random.Random(54)
         vocab = ["a", "b", "c"]
@@ -190,6 +238,15 @@ class TestWerCorpus:
     def test_empty_reference_pair_raises(self):
         with pytest.raises(EmptyReference):
             wer_corpus([(["a"], ["a"]), ([], ["b"])])
+
+    def test_calls_wer_once_per_pair(self, monkeypatch):
+        # through the module attribute, so a wrapper on evaluation.wer sees
+        # every pair: the benchmark's tracer counts its calls and cells there
+        real, calls = evaluation.wer, []
+        monkeypatch.setattr(evaluation, "wer", lambda ref, hyp: calls.append((ref, hyp)) or real(ref, hyp))
+        pairs = [(["a", "b"], ["a", "b"]), ([], []), (["a", "b", "c"], ["c"])]
+        assert wer_corpus(pairs) == real(*pairs[0]) + real(*pairs[1]) + real(*pairs[2])
+        assert calls == pairs
 
     def test_breakdowns_merge_like_shards(self):
         rng = random.Random(56)

@@ -161,10 +161,12 @@ class TestObjective:
             assert value <= 0.0
 
     def test_batch_additivity(self):
-        task = simple_task()
-        em = uniform_model(2, 3)
-        u1 = TrainingUtterance(0, (0, 1, 2), ("ab",))
-        u2 = TrainingUtterance(0, (2, 2), ("ba",))
+        # a non-uniform model and denominator, so that every row's sums round:
+        # a row alone gives the same bits as in a batch
+        task = dataclasses.replace(simple_task(), den_graph=build_denominator(range(2), {(0, 1): 3, (1, 1): 1}))
+        em = EmissionModel(shared=np.array([[1.9, -2.0, 0.9], [-1.4, 1.9, -1.9]]), bias={0: np.zeros((2, 3))})
+        u1 = TrainingUtterance(0, (2, 0, 2, 1, 0, 0, 1, 1), ("ab",))
+        u2 = TrainingUtterance(0, (1, 1, 1, 1, 1, 0, 0), ("ba",))
         together = mmi_objective([u1, u2], task, em)
         assert together == mmi_objective([u1], task, em) + mmi_objective([u2], task, em)
 
@@ -375,6 +377,24 @@ class TestBatchedPass:
         for keep in ([2, 13, 31], [17, 38], [1, 8, 12, 17, 28, 31, 39]):
             sweep = _sweep(dens, _pad([seqs[i] for i in keep]), [owner[i] for i in keep])
             np.testing.assert_array_equal(_forward_backward(sweep, lp, occupancy=False)[0], totals[keep])
+
+    def test_lone_row_is_bitwise_the_same_as_in_a_batch(self):
+        # one row alone would take numpy's one-column product and sum, whose
+        # rounding differs from a batch's; its total and occupancy must not
+        rng = random.Random(81)
+        dens = [build_denominator(range(12), {(rng.randrange(12), rng.randrange(12)): 3 for _ in range(40)})
+                for _ in range(2)]
+        seqs = [tuple(rng.randrange(5) for _ in range(rng.randint(2, 9))) for _ in range(30)]
+        owner = sorted(rng.randrange(2) for _ in seqs)
+        lp = np.stack([log_softmax(np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(12)]))
+                       for _ in dens])
+        batch = _sweep(dens, _pad(seqs), owner)
+        totals, _ = _forward_backward(batch, lp, occupancy=False)
+        for i, seq in enumerate(seqs):
+            total, occ = _forward_backward(_sweep(dens, _pad([seq]), [owner[i]]), lp, occupancy=True)
+            assert total.tolist() == [totals[i]]
+            _, batch_occ = _forward_backward(batch, lp, occupancy=True, counted=np.arange(len(seqs)) == i)
+            np.testing.assert_array_equal(occ, batch_occ)
 
     def test_underflowing_linear_sum_is_recomputed(self):
         # chain over phones 0, 1, 2 on three frames of symbol 0: the second
