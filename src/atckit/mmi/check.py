@@ -269,8 +269,8 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
 
 def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
     """check_batched_vs_generic's batches, each as (sweep, emission tables,
-    each row's graph, each row's table, each row's symbols): two fixed
-    graphs that draw nothing from rng, then four batches per instance."""
+    each row's graph, each row's table, each row's symbols): three fixed
+    batches that draw nothing from rng, then four batches per instance."""
     # every path to the one final state takes the -800 arc, so each total is
     # -inf unless the denominators' underflow guard recomputes in log space
     guard = HmmGraph([(0, 1, 0, 0.0), (1, 1, 0, 0.0), (1, 2, 1, -800.0), (2, 2, 1, 0.0)], [-math.inf, -math.inf, 0.0])
@@ -283,6 +283,14 @@ def _batched_cases(rng: random.Random, instances: int) -> Iterator[tuple]:
     shifted_seqs = [(1, 0, 1), (0, 1, 1, 1, 0), (1,)]
     shifted_lp = log_softmax(np.array([[0.0, -800.0], [0.4, -799.5], [-0.3, -800.8]]))[None]
     yield _sweep([shifted], _pad(shifted_seqs), [0] * 3), shifted_lp, [shifted] * 3, [0] * 3, shifted_seqs
+    # phone 2 emits symbol 0 1000 nats below the best phone, past what the shift holds:
+    # chain rows reaching phone 2 on symbol 0 are recomputed, and the first row's total rests on it
+    task = MmiTask(0, ("p0", "p1", "p2"), {"a": (0, 2), "b": (2, 1), "c": (1,)}, shifted, alpha=1.0)
+    chain_seqs = [(0, 0), (0, 1, 1, 0), (1, 0, 1), (1, 1)]
+    rows = [TrainingUtterance(0, s, w.split()) for s, w in zip(chain_seqs, ["a", "a c", "b", "c"])]
+    chain_lp = log_softmax(np.array([[0.0, -0.5], [0.3, 0.2], [-1000.0, 0.0]]))[None]
+    graphs = [task.numerator_graph(u.words) for u in rows]
+    yield compile_plan({0: rows}, [task]).num, chain_lp, graphs, [0] * 4, chain_seqs
     for _ in range(instances):
         n_phones, n_symbols = rng.randint(1, 3), rng.randint(2, 4)
         logits = random_matrix(rng, n_phones, n_symbols, 3.0)
@@ -306,12 +314,13 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
     """The batched forward-backward that training runs agrees with the
     arc-generic forward and occupancy, sequence by sequence.
 
-    Two fixed graphs come first. The guard graph's one final state is
-    entered only through a -800 arc, so it fails without the denominators'
-    underflow guard. A three-phone denominator follows under emissions
-    whose symbol 1 every phone emits at about -800 nats, so its totals rest
-    on the denominators' emission shift (or, without it, on the guard's
-    recompute). Each instance then runs four batches: random state-emitting
+    Three fixed batches come first. The guard graph's one final state is
+    entered only through a -800 arc, so it fails without the underflow
+    guard. A three-phone denominator follows under emissions whose symbol 1
+    every phone emits at about -800 nats, so its totals rest on the emission
+    shift (or, without it, on the guard). Then a plan's numerator chains,
+    under emissions whose phone 2 emits symbol 0 1000 nats below the best
+    phone, fail without the guard. Each instance then runs four batches: random state-emitting
     graphs, one per sequence and one shared, each random_graph's draw
     without its arcs into state 0 and with every arc relabelled by its
     destination's phone (dst % n_phones); and both sweeps of a two-task
@@ -345,7 +354,7 @@ def check_batched_vs_generic(rng: random.Random, instances: int, tolerance: floa
         if not err <= tolerance:
             return CheckResult("batched_vs_generic", False, f"occupancy relative error {err:.3e}")
     return CheckResult(
-        "batched_vs_generic", True, f"2 fixed graphs and {instances} instances, worst relative error {worst:.3e}"
+        "batched_vs_generic", True, f"3 fixed batches and {instances} instances, worst relative error {worst:.3e}"
     )
 
 

@@ -103,16 +103,18 @@ def transcript_phones(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]
 
 
 def build_numerator(words: Sequence[str], lexicon: Mapping[str, Sequence[int]]) -> HmmGraph:
-    """Linear alignment graph for one transcript.
+    """Linear alignment graph for one transcript: chain_graph over the
+    lexicon phone sequences of ``words``, concatenated."""
+    return chain_graph(transcript_phones(words, lexicon))
 
-    Concatenates the lexicon phone sequences of ``words`` into a chain;
-    every emitting state carries a self-loop, so any observation length at
-    least the phone count is accepted. All arc and final weights are log 1.
-    An empty transcript yields the single-state graph accepting only the
-    empty sequence. Arc 2i is the forward arc i -> i+1 and arc 2i+1 the
-    self-loop on i+1, both emitting phones[i].
+
+def chain_graph(phones: Sequence[int]) -> HmmGraph:
+    """The chain over ``phones``: every emitting state carries a self-loop,
+    so any observation length at least the phone count is accepted. All arc
+    and final weights are log 1. No phones yield the single-state graph
+    accepting only the empty sequence. Arc 2i is the forward arc i -> i+1
+    and arc 2i+1 the self-loop on i+1, both emitting phones[i].
     """
-    phones = transcript_phones(words, lexicon)
     k = np.arange(2 * len(phones))
     arcs = np.zeros(len(k), dtype=ARC_DTYPE)
     arcs["src"] = (k + 1) // 2

@@ -8,41 +8,40 @@ Training compiles its batches once (compile_plan), then runs one batched
 forward-backward per graph kind and pass over the rows of every task. The
 graphs are state-emitting (no arc enters the start, and all the arcs into a
 state carry the phone it emits), so the emission term factors out of each
-frame's step over W, the [Q, Q] log transition matrix.
-
-A numerator is a chain built from the transcript's phones: W holds only
-stay (q -> q) and advance (q -> q + 1), so each frame is an exact
-elementwise logaddexp of alpha + stay and shifted alpha + advance, in
-natural-log space. Each frame's posteriors are divided by their sum.
-
-Each task's denominator is one W its rows share, run as the scaled
-forward-backward of Rabiner (1989, V-A) in probability space, states as
-rows and batch rows as columns:
+frame's step over W, the [Q, Q] log transition matrix. Each row's numerator
+is a chain over its transcript's phones, whose W holds only stay (q -> q)
+and advance (q -> q + 1), both log 1; each task's denominator is one W its
+rows share. Both run as the scaled forward-backward of Rabiner (1989, V-A)
+in probability space, states as rows and batch rows as columns:
 
     alpha_hat_t = (A^T alpha_hat_{t-1} * e_t) / c_t,    c_t its column sums,
 
-with A = exp(W - lift), lift the graph's largest log weight, and
-e_t = exp(E[task, phone, x_t] - m[task, x_t]), m the largest emission of
-symbol x_t over the task's phones, so one phone's factor is 1 and a frame's
-emissions cannot all underflow. The total is sum_t (log c_t + m + lift) +
-log sum alpha_hat_T exp(finals); the backward pass runs
-beta_hat_{t-1} = A (e_t * beta_hat_t) / c_t from exp(finals) over that last
-sum, and the state posteriors are alpha_hat * beta_hat, with no exp per
-frame. beta_hat is set to 0 wherever alpha_hat is 0: a state the forward
-pass has not reached adds nothing to a posterior, and its beta_hat would
-otherwise grow by about e_q / c_t a frame, up to inf. Every product has the
-states as rows and a transposed view of row-major [B, Q] alphas or betas as
-its right operand: in every other layout tried, a row's rounding depended
-on the others (gemm's blocking varies with the column count).
+with A = exp(W - lift), lift the graph's largest log weight (0 for a chain),
+and e_t = exp(E[task, phone, x_t] - m[task, x_t]), m the largest emission of
+symbol x_t over the task's phones. Only the step by A differs: a stacked
+product for the denominators, two 0/1 diagonals for the chains. The total
+is sum_t (log c_t + m + lift) + log sum alpha_hat_T exp(finals); the
+backward pass runs beta_hat_{t-1} = A (e_t * beta_hat_t) / c_t from
+exp(finals) over that last sum, and the state posteriors are
+alpha_hat * beta_hat, with no exp per frame. beta_hat is set to 0 wherever
+alpha_hat is 0: a state the forward pass has not reached adds nothing to a
+posterior, and its beta_hat would otherwise grow by about e_q / c_t a frame,
+up to inf. A product takes the [Q, B] alphas or betas in column-major
+order: in every other layout tried, a row's rounding depended on the others
+(gemm's blocking varies with the column count).
 
 Underflow never turns a reachable state into -inf: a row in which an arc
 from a positive alpha_hat feeds a state whose unnormalized alpha_hat falls
 below _TINY gets its total and occupancy from the arc-generic _forward and
-emission_occupancy, in log space; one whose beta_hat does so, at a state its
-alpha_hat reaches, gets its occupancy only, so the total depends on the
-forward pass alone. Zeroing beta_hat is exact for the other rows: there a
-positive alpha_hat, an arc and a positive emission factor give the next
-state a positive alpha_hat, or the forward check flags the row.
+emission_occupancy over its graph, in log space; one whose beta_hat does so,
+at a state its alpha_hat reaches, gets its occupancy only, so the total
+depends on the forward pass alone. One phone's factor e_t is 1, so a
+denominator frame's cannot all underflow; a chain's, over its transcript's
+phones only, can. A chain state is checked only where its exact alpha_hat
+(or posterior) is positive, which k and T fix. Zeroing beta_hat is exact
+for the other rows: there a positive alpha_hat, an arc and a positive
+emission factor give the next state a positive alpha_hat, or the forward
+check flags the row.
 
 Only the alphas are kept for every frame: the backward sweep overwrites
 each frame's with its state posteriors, which one bincount adds to the
@@ -62,7 +61,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..mmi_base import NoPath
-from .graphs import ARC_DTYPE, HmmGraph, transcript_phones
+from .graphs import ARC_DTYPE, HmmGraph, chain_graph, transcript_phones
 from .model import EmissionModel, MmiTask, TrainingUtterance
 
 logger = logging.getLogger(__name__)
@@ -156,18 +155,6 @@ def _state_form(graphs: Sequence[HmmGraph]) -> tuple[np.ndarray, np.ndarray, np.
     return weights, phone, finals
 
 
-def _chain_step(x: np.ndarray, stay: np.ndarray, advance: np.ndarray, back: bool) -> np.ndarray:
-    """One frame of chains with log weights stay (q -> q) and advance (q -> q + 1),
-    [Q, B] each, for x [Q, B]: state q gathers from q and q - 1, or with ``back``
-    from q and q + 1. Elementwise, so no row depends on the others."""
-    out = x + stay
-    if back:
-        np.logaddexp(out[:-1], x[1:] + advance[:-1], out=out[:-1])
-    else:
-        np.logaddexp(out[1:], x[:-1] + advance[:-1], out=out[1:])
-    return out
-
-
 def _pad(symbol_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """The sequences as one zero-padded [B, frames] array, and their lengths."""
     lengths = np.array([len(s) for s in symbol_seqs], dtype=np.intp)
@@ -177,15 +164,43 @@ def _pad(symbol_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Chains(NamedTuple):
-    """Numerator chains over padded rows, for _forward_backward; see _chain_sweep."""
+    """Numerator chains over padded rows, for _forward_backward; see _chain_sweep.
+    Row b runs on chain b, which reads emission table table[b]."""
 
     sym: np.ndarray  # [B, frames] symbols, zero-padded
     lengths: np.ndarray  # [B] frames per row
-    table: np.ndarray  # [B] each row's emission table
+    graph: np.ndarray  # [B] arange(B): each row's chain
+    table: np.ndarray  # [B] each chain's emission table
     phone: np.ndarray  # [B, Q] each state's phone
     finals: np.ndarray  # [B, Q] log final weights
-    stay: np.ndarray  # [B, Q] log weight of q -> q: 0 or -inf
-    advance: np.ndarray  # [B, Q] log weight of q -> q + 1: 0 or -inf
+    stay: np.ndarray  # [Q, B] linear weight of q -> q: 1 or 0
+    advance: np.ndarray  # [Q, B] linear weight of q -> q + 1: 1 or 0
+    floor: np.ndarray  # [2, frames, Q, B] as Sweep.floor, but only where the exact value is positive
+
+    lift = 0.0  # every weight is log 1
+
+    def step(self, x: np.ndarray, back: bool) -> np.ndarray:
+        """x [Q, B] one frame along each row's chain: state q gathers from q and
+        q - 1, or with ``back`` from q and q + 1, elementwise."""
+        out = x * self.stay
+        if back:
+            out[:-1] += x[1:] * self.advance[:-1]
+        else:
+            out[1:] += x[:-1] * self.advance[:-1]
+        return out
+
+    def fed(self, x: np.ndarray, back: bool) -> np.ndarray:
+        """Where an arc from a positive x gathers into a state: every weight is 1."""
+        return self.step(x, back) > 0
+
+    def row_graph(self, b: int) -> HmmGraph:
+        """Row b's chain as a graph, for its log-space recompute."""
+        return chain_graph(self.phone[b, self.stay[:, b] > 0])
+
+    def twice(self) -> Chains:
+        """A lone row beside a copy of itself with no frames."""
+        padded = self.sym.repeat(2, axis=0), np.append(self.lengths, 0)
+        return _chain_sweep([self.phone[0, self.stay[:, 0] > 0]] * 2, padded, self.table.repeat(2))
 
 
 class Sweep(NamedTuple):
@@ -194,7 +209,8 @@ class Sweep(NamedTuple):
     graphs: tuple[HmmGraph, ...]  # for the rows recomputed in log space
     sym: np.ndarray  # [B, frames] symbols, zero-padded
     lengths: np.ndarray  # [B] frames per row
-    graph: np.ndarray  # [B] each row's graph, which reads emission table graph[b]
+    graph: np.ndarray  # [B] each row's graph
+    table: np.ndarray  # [G] arange(G): graph g reads emission table g
     phone: np.ndarray  # [G, Q] each state's phone
     finals: np.ndarray  # [G, Q] log final weights
     lift: np.ndarray  # [G] each graph's largest log weight, 0 when it has no arc
@@ -202,8 +218,25 @@ class Sweep(NamedTuple):
     # graph g, from its predecessors or from its successors
     linear: np.ndarray  # [2, G * Q, Q] exp(W - lift)
     arcs: np.ndarray  # [2, G * Q, Q] where W has an arc, whatever its exp
-    floor: np.ndarray  # [2, Q, B] _TINY where an arc gathers into state q of row b's graph, else -1
+    floor: np.ndarray  # [2, 1, Q, B] _TINY where an arc gathers into state q of row b's graph, else -1
     pick: np.ndarray  # [Q, B] where row b's state q lies in a flattened [G * Q, B] product
+
+    def step(self, x: np.ndarray, back: bool) -> np.ndarray:
+        """x [Q, B] one frame through each row's graph, by the stacked product;
+        see the module notes on its layout."""
+        return (self.linear[int(back)] @ np.asfortranarray(x)).take(self.pick)
+
+    def fed(self, x: np.ndarray, back: bool) -> np.ndarray:
+        """Where an arc from a positive x gathers into a state, whatever its exp."""
+        return (self.arcs[int(back)] @ (x > 0)).take(self.pick)
+
+    def row_graph(self, b: int) -> HmmGraph:
+        """Row b's shared graph, for its log-space recompute."""
+        return self.graphs[self.graph[b]]
+
+    def twice(self) -> Sweep:
+        """A lone row beside a copy of itself with no frames."""
+        return _sweep(self.graphs, (self.sym.repeat(2, axis=0), np.append(self.lengths, 0)), self.graph.repeat(2))
 
 
 def _binned(post: np.ndarray, base: np.ndarray, sym: np.ndarray, shape: tuple) -> np.ndarray:
@@ -230,24 +263,30 @@ def _sweep(graphs: Sequence[HmmGraph], padded: tuple[np.ndarray, np.ndarray], gr
     q = phone.shape[1]
     sides = np.stack([weights.transpose(0, 2, 1), weights])  # as Sweep.linear, [2, G, Q, Q]
     arcs = sides > -np.inf
-    floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, rows].transpose(0, 2, 1).copy()
+    floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, rows].transpose(0, 2, 1).copy()[:, None]  # every frame alike
     pick = (rows * q + np.arange(q)[:, None]) * len(rows) + np.arange(len(rows))
-    return Sweep(tuple(graphs), *padded, rows, phone, finals, lift, np.exp(sides).reshape(2, -1, q),
-                 arcs.reshape(2, -1, q), floor, pick)
+    return Sweep(tuple(graphs), *padded, rows, np.arange(len(graphs)), phone, finals, lift,
+                 np.exp(sides).reshape(2, -1, q), arcs.reshape(2, -1, q), floor, pick)
 
 
 def _chain_sweep(phone_seqs: Sequence[Sequence[int]], padded: tuple[np.ndarray, np.ndarray], table) -> Chains:
     """Row b's numerator over _pad's (sym, lengths), the chain over phone_seqs[b]
-    on table table[b], as _sweep reads build_numerator's graph (state q > 0
+    on table table[b], as _sweep reads chain_graph's graph (state q > 0
     emits phone q - 1), but kept as its two diagonals, stay and advance."""
     k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
     state = np.arange(1 + int(k.max(initial=0)))
     emitting = (state >= 1) & (state <= k)
     phone = np.zeros(emitting.shape, dtype=np.intp)
     phone[emitting] = [p for seq in phone_seqs for p in seq]
-    stay, advance = np.where(emitting, 0.0, -np.inf), np.where(state < k, 0.0, -np.inf)
     finals = np.where(state == k, 0.0, -np.inf)
-    return Chains(*padded, np.asarray(table, dtype=np.intp), phone, finals, stay, advance)
+    stay, advance = (np.ascontiguousarray(m.T, dtype=float) for m in (emitting, state < k))
+    # the exact alpha_t is positive for 1 <= q <= min(t, k), and beta_{t-1}
+    # where t - q <= T - k + 1; a state outside that support is never flagged
+    t, q, kt, last = np.arange(1, padded[0].shape[1] + 1)[:, None], state, k.T, padded[1]
+    live = (q[:, None] <= kt) & (t <= last)[:, None]  # [frames, Q, B]: a state of the chain at a frame of the row
+    back = ((q >= (t > 1)) & (q <= t - 1))[:, :, None] & ((t - q)[:, :, None] <= last - kt + 1) & (kt >= 1)
+    floor = np.where(np.stack([((q >= 1) & (q <= t))[:, :, None] & live, back & live]), _TINY, -1.0)
+    return Chains(*padded, np.arange(len(k)), np.asarray(table, dtype=np.intp), phone, finals, stay, advance, floor)
 
 
 def _forward_backward(
@@ -256,107 +295,56 @@ def _forward_backward(
     """Log-likelihoods [B] of a _chain_sweep's or _sweep's rows and, with
     ``occupancy``, the emission counts gamma [T, n_phones, n_symbols] over
     every row, or over the rows the boolean mask ``counted`` marks;
-    ``em_logprobs`` stacks the T emission tables, one per graph of a _sweep.
-    A row no path accepts gets total -inf and adds nothing to gamma; nor do
-    the padded frames.
+    ``em_logprobs`` stacks the T emission tables. A row no path accepts
+    gets total -inf and adds nothing to gamma; nor do the padded frames.
+    Scaled in probability space; see the module notes.
     """
-    run = _chain_pass if isinstance(sweep, Chains) else _scaled_pass
-    return run(sweep, em_logprobs, occupancy, counted)
-
-
-def _chain_pass(chains: Chains, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None):
-    """_forward_backward of numerator chains, in log space with the states
-    as rows and the batch rows as columns."""
-    sym, lengths = chains.sym, chains.lengths
-    batch, frames = sym.shape
-    stay, advance, finals = (np.ascontiguousarray(a.T) for a in (chains.stay, chains.advance, chains.finals))
-    # emit[q, x * B + b] = E[table[b], phone[b, q], x], so frame t reads its columns at[t]
-    emit = em_logprobs[chains.table[:, None], chains.phone].transpose(1, 2, 0).reshape(len(stay), -1)
-    at = (sym * batch + np.arange(batch)[:, None]).T
-
-    alphas = np.full((frames + 1, *stay.shape), -np.inf)
-    alphas[0, 0] = 0.0
-    for t in range(1, frames + 1):
-        alphas[t] = emit.take(at[t - 1], axis=1) + _chain_step(alphas[t - 1], stay, advance, back=False)
-    totals = np.logaddexp.reduce(alphas[lengths, :, np.arange(batch)] + chains.finals, axis=1)
-    if not occupancy:
-        return totals, None
-
-    np.copyto(alphas, -np.inf, where=(np.arange(frames + 1)[:, None] > lengths)[:, None])
-    keep = totals > -np.inf
-    if counted is not None:
-        keep &= counted
-    shift = np.where(keep, totals, np.inf)  # a rejected or uncounted row gets posterior 0
-    # a row not yet at its last frame carries finite filler, which its -inf
-    # alphas mask, until its betas restart from the finals
-    betas = np.where(lengths == frames, finals, 0.0)
-    for t in range(frames, 0, -1):
-        np.exp(alphas[t] + betas - shift, out=alphas[t])  # the frame's posteriors replace its alphas
-        betas = _chain_step(emit.take(at[t - 1], axis=1) + betas, stay, advance, back=True)
-        betas = np.where(lengths == t - 1, finals, betas)
-    post = alphas[1:]
-    # each frame's posteriors sum to 1; summed state by state, so neither
-    # padding nor the row count changes a row's bits (numpy's own sum of one
-    # row is pairwise)
-    norm = sum(post.transpose(1, 0, 2))[:, None]
-    np.divide(post, norm, out=post, where=norm > 0)
-    n_phones, n_symbols = em_logprobs.shape[1:]
-    base = (chains.table * n_phones + chains.phone.T) * n_symbols  # [Q, B]: each state's bin but the symbol
-    return totals, _binned(post, base, np.ascontiguousarray(sym.T)[:, None], em_logprobs.shape)
-
-
-def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted: np.ndarray | None):
-    """_forward_backward of shared graphs, scaled in probability space; see
-    the module notes."""
     if len(sweep.lengths) == 1:
-        # a lone row would take numpy's one-column paths (a gemv product, a
-        # pairwise column sum), which round otherwise than a batch's: run it
-        # beside a copy of itself that counts nothing, and drop the copy's total
-        twice = _sweep(sweep.graphs, (sweep.sym.repeat(2, axis=0), sweep.lengths.repeat(2)), sweep.graph.repeat(2))
+        # a lone row would take numpy's one-column paths (a gemv product, a pairwise
+        # column sum), which round otherwise than a batch's: run it beside a copy of
+        # no frames, which no flag or count reaches, and drop the copy's total
         alone = np.array([True if counted is None else counted[0], False])
-        totals, gamma = _scaled_pass(twice, em_logprobs, occupancy, alone)
+        totals, gamma = _forward_backward(sweep.twice(), em_logprobs, occupancy, alone)
         return totals[:1], gamma
-    sym, lengths, graph = sweep.sym, sweep.lengths, sweep.graph
-    (into, out), (arcs_in, arcs_out), (floor_in, floor_out) = sweep.linear, sweep.arcs, sweep.floor
-    n_graphs, q = sweep.phone.shape
+    sym, lengths, graph, table = sweep.sym, sweep.lengths, sweep.graph, sweep.table
+    q = sweep.phone.shape[1]
     batch, frames = sym.shape
-    top = em_logprobs.max(axis=1)  # [G, symbols]: each symbol's largest emission over the phones
+    floor_in, floor_out = np.broadcast_to(sweep.floor, (2, frames, q, batch))
+    top = em_logprobs.max(axis=1)  # [T, symbols]: each symbol's largest emission over the phones
     top[~(top > -np.inf)] = 0.0  # a symbol no phone emits, or NaN parameters, stay unshifted
-    # emit[x * G + g, q] = exp(E[g, phone[g, q], x] - top[g, x]), so frame t reads its rows at[t]
-    emit = np.exp(em_logprobs[np.arange(n_graphs)[:, None], sweep.phone] - top[:, None])
-    emit = emit.transpose(2, 0, 1).reshape(-1, q)
-    at = (sym * n_graphs + graph[:, None]).T
-    shift = (top + sweep.lift[:, None]).T.take(at)  # [frames, B]: what each frame's step dropped
+    # emit[q, x * G + g] = exp(E[table[g], phone[g, q], x] - top[table[g], x]), so frame t reads its columns at[t]
+    emit = np.exp(em_logprobs - top[:, None])[table[:, None], sweep.phone].transpose(1, 2, 0).reshape(q, -1)
+    at = (sym * len(table) + graph[:, None]).T
+    shift = (top[table].T + sweep.lift).take(at)  # [frames, B]: what each frame's step dropped
+    active = np.arange(frames)[:, None] < lengths  # [frames, B]
 
-    alphas = np.zeros((frames + 1, batch, q))
-    alphas[0, :, 0] = 1.0
+    alphas = np.zeros((frames + 1, q, batch))
+    alphas[0, 0] = 1.0
     scale = np.zeros((frames, batch))  # c_t; 0 once a row has no path left
     redo = np.zeros(batch, dtype=bool)
     for t in range(1, frames + 1):
-        a = (into @ alphas[t - 1].T).take(sweep.pick)
-        a *= emit.take(at[t - 1], axis=0).T
-        low = a < floor_in
-        if low.any():
-            low &= (arcs_in @ (alphas[t - 1].T > 0)).take(sweep.pick)
-            redo |= low.any(axis=0) & (t <= lengths)
+        a = sweep.step(alphas[t - 1], False) * emit.take(at[t - 1], axis=1)
+        low = a < floor_in[t - 1]
+        if np.count_nonzero(low):  # cheaper than low.any() on small blocks
+            low &= sweep.fed(alphas[t - 1], False)
+            redo |= low.any(axis=0) & active[t - 1]
         # a sum below _TINY has been flagged (or is 0 and the row rejected), so the floor changes no kept row
-        np.divide(a, np.maximum(a.sum(axis=0, out=scale[t - 1]), _TINY), out=alphas[t].T)
-    end = alphas[lengths, np.arange(batch)]  # [B, Q]: alpha_hat at each row's last frame
+        np.divide(a, np.maximum(np.add.reduce(a, axis=0, out=scale[t - 1]), _TINY), out=alphas[t])
+    end = alphas[lengths, :, np.arange(batch)]  # [B, Q]: alpha_hat at each row's last frame
     finals = sweep.finals[graph]
     # the finals drop by their max over the states a row reaches, so exp cannot overflow
     top_final = np.where(end > 0, finals, -np.inf).max(axis=1)
     top_final[~(top_final > -np.inf)] = 0.0
     final = np.exp(finals - top_final[:, None], out=np.zeros_like(end), where=end > 0)
     z = (end * final).sum(axis=1)
-    active = np.arange(frames)[:, None] < lengths
     with np.errstate(divide="ignore"):
         totals = np.where(active, np.log(scale) + shift, 0.0).sum(axis=0) + top_final + np.log(z)
+    row_table = table[graph]
 
     def exact(b: int) -> tuple[np.ndarray | None, float]:
         """Row b's total and, with ``occupancy``, its occupancy, by the
         arc-generic recursions in log space."""
-        g = graph[b]
-        args = (sweep.graphs[g], em_logprobs[g], sym[b, : lengths[b]])
+        args = (sweep.row_graph(b), em_logprobs[row_table[b]], sym[b, : lengths[b]])
         try:
             return emission_occupancy(*args) if occupancy else (None, _forward(*args)[1])
         except NoPath:
@@ -372,27 +360,27 @@ def _scaled_pass(sweep: Sweep, em_logprobs: np.ndarray, occupancy: bool, counted
     # beta_hat at each row's last frame: its shifted finals over their alpha_hat-weighted sum
     final = np.divide(final, z[:, None], out=np.zeros_like(final), where=(counted & ~redo)[:, None])
     divisor = np.maximum(scale, _TINY)
-    beta = np.zeros((batch, q))  # 0 for a row not yet at its last frame, so its posteriors are 0
+    beta = np.zeros((q, batch))  # 0 for a row not yet at its last frame, so its posteriors are 0
     for t in range(frames, 0, -1):
-        np.copyto(beta, final, where=(lengths == t)[:, None])
-        b = (out @ np.multiply(emit.take(at[t - 1], axis=0), beta).T).take(sweep.pick)
-        low = b < floor_out
-        low &= t <= lengths
-        if low.any():
-            low &= (arcs_out @ (beta.T > 0)).take(sweep.pick) & (alphas[t - 1].T > 0)
+        np.copyto(beta, final.T, where=lengths == t)
+        b = sweep.step(emit.take(at[t - 1], axis=1) * beta, True)
+        low = b < floor_out[t - 1]
+        low &= active[t - 1]
+        if np.count_nonzero(low):
+            low &= sweep.fed(beta, True) & (alphas[t - 1] > 0)
             redo |= low.any(axis=0) & counted
         # beta_hat stays 0 where alpha_hat is: a state the forward pass has
         # not reached would otherwise gain about e_q / c_t a frame, up to inf
-        np.copyto(b, 0.0, where=alphas[t - 1].T == 0)
+        np.copyto(b, 0.0, where=alphas[t - 1] == 0)
         alphas[t] *= beta  # the frame's posteriors replace its alphas
-        np.divide(b.T, divisor[t - 1, :, None], out=beta)
+        np.divide(b, divisor[t - 1], out=beta)
     post = alphas[1:]
-    post[:, redo] = 0.0
+    post[:, :, redo] = 0.0
     n_phones, n_symbols = em_logprobs.shape[1:]
-    base = (graph[:, None] * n_phones + sweep.phone[graph]) * n_symbols  # [B, Q]
-    gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, :, None], em_logprobs.shape)
+    base = (row_table * n_phones + sweep.phone[graph].T) * n_symbols  # [Q, B]
+    gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, None], em_logprobs.shape)
     for b in np.flatnonzero(redo & counted):
-        gamma[graph[b]] += (redone.get(b) or exact(b))[0]
+        gamma[row_table[b]] += (redone.get(b) or exact(b))[0]
     return totals, gamma
 
 

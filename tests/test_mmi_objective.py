@@ -396,27 +396,40 @@ class TestBatchedPass:
             _, batch_occ = _forward_backward(batch, lp, occupancy=True, counted=np.arange(len(seqs)) == i)
             np.testing.assert_array_equal(occ, batch_occ)
 
-    def test_underflowing_linear_sum_is_recomputed(self):
-        # chain over phones 0, 1, 2 on three frames of symbol 0: the second
-        # and third frames each cost e^-1000, so a max-shifted linear sum
-        # feeding the last state would underflow to 0 while the exact total
-        # is -2000; the numerator chain steps in log space and keeps it
-        logits = np.array([[0.0, -1000.0], [-1000.0, 0.0], [-1000.0, 0.0]])
-        em = EmissionModel(shared=logits, bias={0: np.zeros((3, 2))})
-        np.testing.assert_array_equal(em.log_probs(0), logits)
-        task = MmiTask(
-            0, ("p0", "p1", "p2"), {"w": (0, 1, 2)}, build_denominator(range(3), {}),
-            alpha=1.0,
-        )
-        utt = TrainingUtterance(0, (0, 0, 0), ("w",))
-        num = forward_logprob(task.numerator_graph(utt.words), em, 0, utt.symbols)
-        assert num == pytest.approx(-2000.0, rel=1e-15)
-        expected = num - forward_logprob(task.den_graph, em, 0, utt.symbols)
-        value = mmi_objective([utt], task, em)
-        assert math.isfinite(value)
-        assert value == pytest.approx(expected, rel=1e-12)
-        _, objective = mmi_gradient({0: [utt]}, [task], em)
-        assert objective == value
+    def test_underflowing_linear_sum_is_recomputed(self, monkeypatch):
+        # a chain phone emits a symbol more than 745 nats below the task's
+        # best phone for it, so even shifted by that best emission its factor
+        # underflows to 0. The numerator row goes through the log-space
+        # recompute once; with that recompute off its total would be -inf
+        cases = [
+            # chain over phones 0, 1, 2 on three frames of symbol 0, which
+            # phones 1 and 2 emit 1000 nats below phone 0: the exact total is
+            # -2000. The denominator holds phones 1 and 2 too, so its row is
+            # recomputed as well
+            ([[0.0, -1000.0], [-1000.0, 0.0], [-1000.0, 0.0]], (0, 1, 2), range(3), (0, 0, 0), -2000.0, 2),
+            # phone 2 emits symbol 0 800 nats below phones 0 and 1, and the
+            # chain must take it at the second frame; the denominator, over
+            # phones 0 and 1, needs no recompute
+            ([[0.0, -1000.0, -1000.0], [0.0, -1000.0, -1000.0], [-800.0, 0.0, -1000.0]], (0, 2), (0, 1), (0, 0),
+             -800.0, 1),
+        ]
+        for logits, word, den_phones, symbols, exact_num, rows in cases:
+            em = EmissionModel(shared=np.array(logits), bias={0: np.zeros((3, len(logits[0])))})
+            np.testing.assert_array_equal(em.log_probs(0), logits)
+            task = MmiTask(0, ("p0", "p1", "p2"), {"w": word}, build_denominator(den_phones, {}), alpha=1.0)
+            utt = TrainingUtterance(0, symbols, ("w",))
+            num = forward_logprob(task.numerator_graph(utt.words), em, 0, utt.symbols)
+            assert num == pytest.approx(exact_num, rel=1e-15)
+            expected = num - forward_logprob(task.den_graph, em, 0, utt.symbols)
+            calls = self.count_exact_rows(monkeypatch)
+            value = mmi_objective([utt], task, em)
+            assert calls == {"_forward": rows, "emission_occupancy": 0}
+            assert math.isfinite(value)
+            assert value == pytest.approx(expected, rel=1e-12)
+            _, objective = mmi_gradient({0: [utt]}, [task], em)
+            assert objective == value
+            assert calls == {"_forward": 2 * rows, "emission_occupancy": rows}  # emission_occupancy runs _forward
+            monkeypatch.undo()
 
     def test_parallel_arcs_match_generic(self):
         # two arcs 0 -> 1 combine into one state-form weight; state 1 emits
@@ -517,7 +530,7 @@ class TestBatchedPass:
             expected += ref_occ
         np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
         grad, value = mmi_gradient({0: batch}, [task], em)
-        assert value == pytest.approx(0.0, abs=1e-9)  # the numerator chain runs in log space
+        assert value == pytest.approx(0.0, abs=1e-9)  # numerator and denominator: one graph, one scaled pass
         for got in (grad.shared, grad.bias[0]):
             assert np.isfinite(got).all()
             np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-9)
@@ -603,14 +616,16 @@ class TestChainNumerators:
 
     def test_plan_chains_equal_the_generic_state_form(self):
         # the plan builds its numerators from the phones alone; they are the
-        # state form of build_numerator's graphs, with weights on two diagonals only
+        # state form of build_numerator's graphs, with weights on two diagonals
+        # only, kept linear and transposed ([Q, B]): their logs are W's diagonals
         rng = random.Random(79)
         for _ in range(20):
             task, batch = self.random_plan(rng)
             plan = objective.compile_plan({0: batch}, [task])
             assert plan.num.sym is plan.den.sym and plan.num.lengths is plan.den.lengths  # padded once
             weights, phone, finals = _state_form([build_numerator(u.words, task.lexicon) for u in batch])
-            stay, advance = plan.num.stay, plan.num.advance
+            with np.errstate(divide="ignore"):
+                stay, advance = np.log(plan.num.stay.T), np.log(plan.num.advance.T)
             np.testing.assert_array_equal(plan.num.phone, phone)
             np.testing.assert_array_equal(plan.num.finals, finals)
             np.testing.assert_array_equal(stay, np.diagonal(weights, axis1=1, axis2=2))
@@ -620,9 +635,34 @@ class TestChainNumerators:
             off = ~(np.eye(q, dtype=bool) | np.eye(q, k=1, dtype=bool))
             assert (weights[:, off] == -np.inf).all()
 
+    def test_floors_are_the_exact_support(self):
+        # a chain state is checked for underflow only where its exact alpha_t
+        # (forward) or alpha_{t-1} * beta_{t-1} (backward) is positive, at the
+        # row's own frames; elsewhere its scaled value is exactly 0
+        rng = random.Random(82)
+        for _ in range(20):
+            task, batch = self.random_plan(rng)
+            batch.append(TrainingUtterance(0, (0,), ("w0", "w1")))  # too short for its chain
+            plan = objective.compile_plan({0: batch}, [task])
+            lp = uniform_model(4, 3).log_probs(0)
+            frames, q = plan.num.floor.shape[1:3]
+            for b, utt in enumerate(batch):
+                graph = build_numerator(utt.words, task.lexicon)
+                alphas = np.full((len(utt.symbols) + 1, graph.n_states), -np.inf)
+                alphas[0, 0] = 0.0
+                if graph.arcs.size:  # every state final, so _forward returns the alphas of a chain too long to fit
+                    alphas, _ = _forward(HmmGraph(graph.arcs, np.zeros(graph.n_states)), lp, utt.symbols)
+                betas = _backward_betas(graph, lp, utt.symbols)
+                support = np.zeros((2, frames, q), dtype=bool)
+                support[0, : len(utt.symbols), : graph.n_states] = alphas[1:] > -np.inf
+                support[1, : len(utt.symbols), : graph.n_states] = (alphas[:-1] > -np.inf) & (betas[:-1] > -np.inf)
+                np.testing.assert_array_equal(plan.num.floor[:, :, :, b], np.where(support, objective._TINY, -1.0))
+
     def test_row_is_bitwise_the_same_alone_and_in_a_batch(self):
-        # the chain step is elementwise, so neither the other rows nor the
-        # padding to their states and frames change a row's bits
+        # the chain step is elementwise and each frame's column sums add the
+        # states one by one, so neither the other rows nor the padding to
+        # their states and frames change a row's bits; a lone row runs
+        # beside a copy of no frames
         rng = random.Random(80)
         for _ in range(10):
             task, batch = self.random_plan(rng)
