@@ -25,7 +25,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import CorpusFormatError, iter_lexicon_lines
+from .corpus import CorpusFormatError, iter_lexicon_lines, open_input
 
 CALLSIGN_RE = re.compile(r"([A-Z]{3})([0-9]{1,4})([A-Z]{0,2})")
 _CODE_RE = re.compile(r"[A-Z]{3}")
@@ -58,6 +58,9 @@ NATO_ALPHABET = {
     "y": "yankee",
     "z": "zulu",
 }
+
+# either case of a letter -> its phonetic-alphabet word
+_LETTER_WORDS = NATO_ALPHABET | {c.upper(): word for c, word in NATO_ALPHABET.items()}
 
 DIGIT_WORDS = {
     "0": "zero",
@@ -108,6 +111,15 @@ class Callsign:
     def raw(self) -> str:
         return self.airline_code + self.number_part + self.suffix
 
+    @classmethod
+    def _from_match(cls, match: re.Match) -> "Callsign":
+        """The callsign a ``CALLSIGN_RE`` full match proves well-formed, built
+        without running the pattern again in ``__post_init__``."""
+        code, number, suffix = match.groups()
+        cs = object.__new__(cls)
+        cs.__dict__.update(airline_code=code, number_part=number, suffix=suffix)
+        return cs
+
 
 @dataclass(frozen=True)
 class SpokenVariant:
@@ -134,8 +146,7 @@ def parse_callsign(raw: str) -> Callsign:
     match = CALLSIGN_RE.fullmatch(raw)
     if match is None:
         raise MalformedCallsign(f"{raw!r} does not match ICAO callsign shape AAA<digits><letters>")
-    code, number, suffix = match.groups()
-    return Callsign(airline_code=code, number_part=number, suffix=suffix)
+    return Callsign._from_match(match)
 
 
 def spoken_digit(d: str, icao_alternates: bool = False) -> str:
@@ -174,7 +185,11 @@ def spoken_heads(code: str, lexicon: TelephonyLexicon) -> tuple[tuple[VariantKin
     """The words that may stand before the tail, each with the variant kind
     it makes: the telephony designator when the lexicon knows the code,
     then the spelled code."""
-    spelled = (VariantKind.LETTER_SPELLED, tuple(nato_letter(c) for c in code))
+    try:
+        letters = tuple(map(_LETTER_WORDS.__getitem__, code))
+    except KeyError:  # not an ASCII letter: nato_letter raises, or spells what lower() makes of it
+        letters = tuple(nato_letter(c) for c in code)
+    spelled = (VariantKind.LETTER_SPELLED, letters)
     designator = lexicon.get(code)
     return ((VariantKind.FULL_TELEPHONY, tuple(designator)), spelled) if designator else (spelled,)
 
@@ -205,7 +220,8 @@ def load_telephony_lexicon(path: str | Path) -> TelephonyLexicon:
     ignored. Designators are lowercased and may span several words. Each
     code appears once. The result is a read-only mapping.
     """
-    return _parse_telephony(Path(path).read_text(encoding="utf-8"), source=str(path))
+    with open_input(path) as stream:
+        return _parse_telephony(stream.read(), source=str(path))
 
 
 def _parse_telephony(text: str, source: str = "<string>") -> TelephonyLexicon:

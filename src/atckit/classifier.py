@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .callsign import TelephonyLexicon
-from .corpus import CorpusFormatError, RoleLabel, Utterance, iter_lexicon_lines
+from .corpus import CorpusFormatError, RoleLabel, Utterance, iter_lexicon_lines, open_input
 # expand_context_callsigns and find_matches are not called here; they stay
 # importable under this module's name, which perfbench's tracer wraps
 from .matcher import CallsignMatch, ContextMatcher, expand_context_callsigns, find_matches  # noqa: F401
@@ -168,7 +168,8 @@ def load_role_lexicon(path: str | Path) -> RoleLexicon:
     Format: ``[atco]`` and ``[pilot]`` section headers, one lowercase word
     per line, ``#`` starts a comment (full-line or trailing).
     """
-    return _parse_role_lexicon(Path(path).read_text(encoding="utf-8"), source=str(path))
+    with open_input(path) as stream:
+        return _parse_role_lexicon(stream.read(), source=str(path))
 
 
 def _parse_role_lexicon(text: str, source: str = "<string>") -> RoleLexicon:

@@ -31,7 +31,7 @@ from .callsign import (
     parse_callsign,
 )
 from .classifier import FiredRule, classify_corpus, default_role_lexicon, load_role_lexicon, RULE_ORDERS
-from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, parse_role, read_corpus, tokenize
+from .corpus import CorpusFormatError, RoleLabel, iter_jsonl, open_input, parse_role, read_corpus, tokenize
 from .evaluation import EmptyReference, accumulate, rates, wer_corpus
 from .matcher import filter_corpus
 from .mmi_base import DEFAULT_TASK_WEIGHT, DivergenceDetected, NoPath, OovWord
@@ -103,7 +103,7 @@ def _read_labels(path: str) -> dict[str, RoleLabel]:
             raise CorpusFormatError(f"duplicate id {uid!r}")
         return uid, parse_role(obj["role"])
 
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_input(path) as stream:
         for uid, role in iter_jsonl(stream, path, label):
             labels[uid] = role
     return labels
@@ -210,8 +210,8 @@ def _cmd_evaluate(args, manifest: dict) -> int:
 
 
 def _cmd_wer(args, manifest: dict) -> int:
-    with open(args.ref, encoding="utf-8") as ref, open(args.hyp, encoding="utf-8") as hyp:
-        # only a newline ends a line, as in iter_jsonl (str.splitlines also breaks at \x0c, U+2028, ...)
+    with open_input(args.ref) as ref, open_input(args.hyp) as hyp:
+        # only a newline ends a line, as in open_input (str.splitlines also breaks at \x0c, U+2028, ...)
         ref_lines, hyp_lines = ([line.removesuffix("\n") for line in lines] for lines in (ref, hyp))
     if len(ref_lines) != len(hyp_lines):
         raise CorpusFormatError(

@@ -12,6 +12,8 @@ from token edges. Empty transcripts are representable and never dropped.
 
 Every JSONL input goes through ``iter_jsonl``, every line-oriented lexicon
 file (telephony, phones, role keywords) through ``iter_lexicon_lines``.
+Every text input file is opened by ``open_input``: only ``\\n`` ends a line,
+so a lone ``\\r`` stays inside its line, and a CRLF file reads as its LF twin.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ class RoleLabel(Enum):
     PILOT = "pilot"
 
 
+_ROLES = {role._value_: role for role in RoleLabel}  # a dict lookup skips EnumType.__call__
+
+
 def parse_role(value: object) -> RoleLabel:
     try:
-        return RoleLabel(value)
-    except ValueError:
+        return _ROLES[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value, such as a list
         raise CorpusFormatError(f"unknown role {value!r} (want 'atco' or 'pilot')") from None
 
 
@@ -140,7 +145,15 @@ def iter_lexicon_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def open_input(path: str | Path) -> IO[str]:
+    """Open a UTF-8 text input for reading, with only ``\\n`` ending a line.
+
+    A CRLF line keeps its ``\\r``; ``str.strip`` and ``tokenize`` drop it.
+    """
+    return open(path, "r", encoding="utf-8", newline="\n")
+
+
 def read_corpus(path: str | Path) -> Iterator[Utterance]:
     """Stream utterances from a JSONL corpus file."""
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_input(path) as stream:
         yield from iter_jsonl(stream, str(path), Utterance.from_json)

@@ -19,10 +19,13 @@ words of ``callsign.spoken_heads`` right before it, compared as tokens.
 Variants are sliced from the utterance's tokens at a hit. The code is
 exactly three letters, so a well-formed entry's tail is ``raw[3:]``: only
 the entries whose ``raw[3:]`` occurs in the written string are parsed.
-The matcher lives for one run and keeps two plain dicts, each emptied
-before it would pass ``MEMO_SIZE`` entries: each screened entry's callsign
-and heads (``None`` when malformed), and whether each entry is malformed,
-for the per-occurrence count ``stats`` takes.
+The matcher lives for one run and keeps two memos, each emptied before it
+would pass ``MEMO_SIZE`` entries: a dict of each screened entry's callsign
+and heads (``None`` when malformed), and a set of entries known to be
+well-formed, for the per-occurrence malformed count ``stats`` takes. A
+context inside the set holds no malformed entry; any other is checked by
+one regex pass over its entries joined with newlines, and counted entry by
+entry only when that pass fails.
 
 ``find_matches`` searches explicit variant entries. Over
 ``expand_context_callsigns`` it is the full expansion ``ContextMatcher``
@@ -31,6 +34,7 @@ is tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
@@ -52,6 +56,8 @@ VariantEntry = tuple[Callsign, SpokenVariant]
 
 MEMO_SIZE = 1024  # entries per ContextMatcher memo; a sector has a few hundred callsigns at most
 _UNSEEN = object()
+# a context every entry of which is well-formed, each entry followed by a newline
+_CONTEXT_RE = re.compile("(?:" + CALLSIGN_RE.pattern + "\n)*")
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,8 @@ class ContextMatcher:
     def __init__(self, lexicon: TelephonyLexicon, icao_digits: bool = False) -> None:
         self.lexicon = lexicon
         self.chars = written_chars(icao_digits)
-        # raw entry -> whether it is malformed; read only when counting malformed entries
-        self.malformed: dict[str, bool] = {}
+        # entries known to be well-formed; read only when counting malformed entries
+        self.well_formed: set[str] = set()
         # raw entry -> (callsign, spoken_heads), or None when malformed; from its first screen pass on
         self.hits: dict[str, tuple[Callsign, tuple[tuple[VariantKind, tuple[str, ...]], ...]] | None] = {}
 
@@ -167,22 +173,22 @@ class ContextMatcher:
         chars = self.chars
         written = "".join([chars.get(tok, " ") for tok in tokens])
         context = utt.context_callsigns or ()
-        if stats is not None:
-            try:
-                stats.malformed_callsigns += sum(map(self.malformed.__getitem__, context))
-            except KeyError:  # an entry the memo does not hold
-                flags = [found is None for found in map(CALLSIGN_RE.fullmatch, context)]
-                if len(self.malformed) + len(context) > MEMO_SIZE:
-                    self.malformed.clear()
-                self.malformed.update(zip(context[:MEMO_SIZE], flags))
-                stats.malformed_callsigns += sum(flags)
+        if stats is not None and not self.well_formed.issuperset(context):
+            joined = "\n".join(context) + "\n"
+            # the count keeps an entry that holds a newline from passing as several
+            if joined.count("\n") == len(context) and _CONTEXT_RE.fullmatch(joined):
+                if len(self.well_formed) + len(context) > MEMO_SIZE:
+                    self.well_formed.clear()
+                self.well_formed.update(context[:MEMO_SIZE])
+            else:
+                stats.malformed_callsigns += sum(found is None for found in map(CALLSIGN_RE.fullmatch, context))
         matches: list[CallsignMatch] = []
         # a well-formed entry's tail (number + suffix) is all but its three-letter code
         for raw in [raw for raw in context if raw[3:] in written]:
             hit = self.hits.get(raw, _UNSEEN)
             if hit is _UNSEEN:
                 found = CALLSIGN_RE.fullmatch(raw)
-                hit = found and (Callsign(*found.groups()), spoken_heads(found[1], self.lexicon))
+                hit = found and (Callsign._from_match(found), spoken_heads(found[1], self.lexicon))
                 _remember(self.hits, raw, hit)
             if hit is None:
                 continue

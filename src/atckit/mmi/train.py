@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines
+from ..corpus import CorpusFormatError, iter_jsonl, iter_lexicon_lines, open_input
 from ..mmi_base import DivergenceDetected
 from .graphs import build_denominator, phone_bigram_counts, transcript_phones
 from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtterance
@@ -107,7 +107,9 @@ def toy_train(
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Word-to-phones map from TSV: ``word<TAB>phone phone ...`` per line, each word once."""
     lexicon: dict[str, tuple[str, ...]] = {}
-    for lineno, line in iter_lexicon_lines(Path(path).read_text(encoding="utf-8")):
+    with open_input(path) as stream:
+        text = stream.read()
+    for lineno, line in iter_lexicon_lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusFormatError(f"{path}:{lineno}: expected 'word<TAB>phones', got {line!r}")
@@ -139,7 +141,7 @@ def load_training_corpus(path: str | Path, n_symbols: int) -> dict[int, list[Tra
         return TrainingUtterance(task_id=task, symbols=tuple(symbols), words=tuple(words))
 
     corpus: dict[int, list[TrainingUtterance]] = {}
-    with open(path, "r", encoding="utf-8") as stream:
+    with open_input(path) as stream:
         for utt in iter_jsonl(stream, str(path), record):
             corpus.setdefault(utt.task_id, []).append(utt)
     return corpus

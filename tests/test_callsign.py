@@ -12,9 +12,11 @@ from atckit.callsign import (
     _parse_telephony,
     default_telephony_lexicon,
     expand_callsign,
+    load_telephony_lexicon,
     nato_letter,
     parse_callsign,
     spoken_digit,
+    spoken_heads,
     spoken_tail,
     written_chars,
 )
@@ -65,6 +67,13 @@ class TestParse:
         for fields in [("TVS", "12345"), ("TVS", "84", "JKL"), ("TVS1", "2"), ("TVS", "\u0663")]:
             with pytest.raises(MalformedCallsign):
                 Callsign(*fields)
+
+    def test_parsed_callsign_equals_the_checked_constructor(self):
+        rng = random.Random(4712)
+        for _ in range(200):
+            cs = parse_callsign(random_callsign_raw(rng))
+            checked = Callsign(cs.airline_code, cs.number_part, cs.suffix)
+            assert cs == checked and hash(cs) == hash(checked) and repr(cs) == repr(checked)
 
 
 class TestSpokenTables:
@@ -189,6 +198,23 @@ class TestTelephonyLexicon:
         assert _parse_telephony(text).get("ABC") == ("some", "airline", "inc")
         with pytest.raises(CorpusFormatError, match=r"^tel\.tsv:3: bad airline code"):
             _parse_telephony(text + "AB1\tother\n", source="tel.tsv")
+
+
+@pytest.mark.parametrize("code", ["TVS", "tvs", "TvS", "", "\u212aLM"])  # U+212A KELVIN SIGN lowers to "k"
+def test_spoken_heads_spell_a_code_as_nato_letter_does(code):
+    assert spoken_heads(code, {}) == ((VariantKind.LETTER_SPELLED, tuple(map(nato_letter, code))),)
+
+
+@pytest.mark.parametrize("code", ["TV4", "TV ", "\u00c5BC", "AB\uff23"])
+def test_spoken_heads_reject_a_non_letter(telephony, code):
+    with pytest.raises(ValueError, match="is not a letter A-Z"):
+        spoken_heads(code, telephony)
+
+
+def test_lexicon_file_line_holds_a_lone_carriage_return(tmp_path):
+    path = tmp_path / "tel.tsv"
+    path.write_bytes(b"ABC\tsome\rairline\r\nDEF\tother\n")
+    assert dict(load_telephony_lexicon(path)) == {"ABC": ("some", "airline"), "DEF": ("other",)}
 
 
 def test_spoken_variant_text_joins_tokens():

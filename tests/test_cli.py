@@ -23,8 +23,9 @@ from atckit import classifier, cli
 from atckit.cli import main
 from atckit.callsign import VariantKind, expand_callsign, parse_callsign
 from atckit.classifier import RULE_ORDERS, FiredRule, classify_corpus
-from atckit.corpus import Utterance, tokenize
+from atckit.corpus import Utterance, read_corpus, tokenize
 from atckit.evaluation import accumulate
+from atckit.matcher import FilterStats, expand_context_callsigns, find_matches
 from atckit.mmi import objective
 from atckit.mmi.check import random_instance
 
@@ -151,6 +152,14 @@ class TestFilter:
         assert code == 1
         assert manifest["error"] == "CorpusFormatError"
         assert f"{src}:2:" in manifest["message"]
+
+    def test_lone_carriage_return_inside_a_record(self, tmp_path, capsys):
+        src, out = tmp_path / "corpus.jsonl", tmp_path / "kept.jsonl"
+        src.write_bytes(b'{"id": "a",\r"text": "tango victor sierra eight four", "callsigns": ["TVS84"]}\n')
+        code, manifest, _ = run_cli(capsys, ["filter", "--corpus", str(src), "--out", str(out)])
+        assert code == 0
+        assert manifest["result"]["stats"]["kept"] == 1
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a"]
 
 
 class TestClassify:
@@ -352,6 +361,24 @@ class TestOutputPins:
         assert sum(by_kind.values()) == manifest["result"]["rules"]["callsign_early"] > 0
 
     @pytest.mark.parametrize("icao", [False, True], ids=["plain", "icao"])
+    def test_filter_manifest_counts_equal_the_full_expansion(self, tmp_path, capsys, corpus_file, telephony, icao):
+        argv = ["filter", "--corpus", str(corpus_file), "--out", str(tmp_path / "kept.jsonl")]
+        code, manifest, _ = run_cli(capsys, argv + ["--icao-digits"] * icao)
+        assert code == 0
+        want = FilterStats()
+        for utt in read_corpus(corpus_file):
+            if not utt.context_callsigns:
+                want.no_context += 1
+                continue
+            matches = find_matches(utt, expand_context_callsigns(utt.context_callsigns, telephony, want, icao))
+            want.no_match += not matches
+            for m in matches:
+                want.matches_by_kind[m.variant.kind.value] += 1
+        keys = ("malformed_callsigns", "no_context", "no_match", "matches_by_kind")
+        assert {key: manifest["result"]["stats"][key] for key in keys} == {key: getattr(want, key) for key in keys}
+        assert min(want.malformed_callsigns, want.no_context, want.no_match) > 0
+
+    @pytest.mark.parametrize("icao", [False, True], ids=["plain", "icao"])
     def test_filter_kept_file(self, tmp_path, capsys, corpus_file, icao):
         out = tmp_path / "kept.jsonl"
         argv = ["filter", "--corpus", str(corpus_file), "--out", str(out)] + ["--icao-digits"] * icao
@@ -484,6 +511,14 @@ class TestWerCli:
         assert code == 0
         assert (manifest["result"]["wer"], manifest["result"]["utterances"]) == (0.0, 1)
 
+    def test_lone_carriage_return_stays_in_its_line(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+        ref.write_bytes(b"one two\rthree\nfour")
+        hyp.write_bytes(b"one two three\nfour")
+        code, manifest, _ = run_cli(capsys, ["wer", "--ref", str(ref), "--hyp", str(hyp)])
+        assert code == 0
+        assert (manifest["result"]["wer"], manifest["result"]["utterances"]) == (0.0, 2)
+
     def test_empty_reference_line_reported(self, tmp_path, capsys):
         ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
         write_lines(ref, [""])
@@ -521,6 +556,47 @@ DIVERGENT_RECORDS = [
         {"task": 2, "symbols": [2, 2, 0, 1], "words": ["ba"]},
     )
 ]
+
+
+def test_crlf_inputs_give_the_outputs_of_their_lf_twins(tmp_path, capsys, telephony, role_lexicon):
+    corpus = tmp_path / "pin.jsonl"
+    write_corpus(pin_corpus(telephony, role_lexicon), corpus)
+    data = Path(atckit.__file__).parent / "data"
+    texts = {
+        "corpus.jsonl": corpus.read_text(encoding="utf-8"),
+        "telephony.tsv": (data / "telephony.tsv").read_text(encoding="utf-8"),
+        "roles.txt": (data / "role_words.txt").read_text(encoding="utf-8"),
+        "ref.txt": "turn left heading two five zero\nclimb\nhold short\ncontact tower\n",
+        "hyp.txt": "turn left heading two five\ndescend now\nhello\ncontact tower\n",
+        "gold.jsonl": '{"id": "a", "role": "atco"}\n{"id": "b", "role": "pilot"}\n',
+        "pred.jsonl": '{"id": "b", "role": "atco"}\n\n{"id": "a", "role": "atco"}\n',
+        "train.jsonl": '{"task": 1, "symbols": [0, 0, 1, 1], "words": ["ab"]}\n'
+        '{"task": 2, "symbols": [1, 1, 0, 0], "words": ["ba"]}\n',
+        "phones.tsv": "# word<TAB>phones\nab\ta b\nba\tb a\n",
+    }
+    commands = [
+        ["filter", "--corpus", "{d}/corpus.jsonl", "--telephony", "{d}/telephony.tsv", "--out", "{d}/kept.jsonl"],
+        ["classify", "--corpus", "{d}/corpus.jsonl", "--telephony", "{d}/telephony.tsv",
+         "--lexicon", "{d}/roles.txt", "--out-prefix", "{d}/split"],
+        ["evaluate", "--gold", "{d}/gold.jsonl", "--pred", "{d}/pred.jsonl"],
+        ["wer", "--ref", "{d}/ref.txt", "--hyp", "{d}/hyp.txt"],
+        ["mmi-train", "--corpus", "{d}/train.jsonl", "--lexicon", "{d}/phones.tsv", "--n-symbols", "2",
+         "--steps", "3", "--out", "{d}/model.npz"],
+    ]
+    outputs = ["kept.jsonl", "split.atco.jsonl", "split.pilot.jsonl", "split.traces.jsonl", "model.npz"]
+    runs = {}
+    for twin, ending in (("lf", "\n"), ("crlf", "\r\n")):
+        d = tmp_path / twin
+        d.mkdir()
+        for name, text in texts.items():
+            (d / name).write_bytes(text.replace("\n", ending).encode("utf-8"))
+        results = []
+        for argv in commands:
+            code, manifest, _ = run_cli(capsys, [arg.format(d=d) for arg in argv])
+            results.append((code, manifest.get("result")))
+        runs[twin] = results, [(d / name).read_bytes() for name in outputs]
+    assert runs["crlf"] == runs["lf"]
+    assert all(code == 0 for code, _ in runs["lf"][0])
 
 
 class TestMmiCli:

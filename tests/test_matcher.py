@@ -5,8 +5,11 @@ import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atckit.callsign import (
+    CALLSIGN_RE,
     VariantKind,
     expand_callsign,
     parse_callsign,
@@ -15,6 +18,7 @@ from atckit.corpus import (
     CorpusFormatError,
     RoleLabel,
     Utterance,
+    parse_role,
     read_corpus,
     tokenize,
 )
@@ -38,6 +42,20 @@ from synth import (
     variant_pool,
     write_corpus,
 )
+
+
+# context entries: well-formed raws from a small pool (so entries repeat) and
+# from the pattern, near misses, entries holding a newline or a carriage
+# return, and non-ASCII digits and letters
+_CONTEXT_ENTRY = st.one_of(
+    st.sampled_from(["TVS84J", "DLH12", "QQQ1", "BAW9XY"]),
+    st.from_regex(CALLSIGN_RE, fullmatch=True),
+    st.sampled_from(["84TVS", "TVS84JJJ", "TV84J", "TVS12345", "tvs84j", ""]),
+    st.sampled_from(["TVS84J\nTVS84J", "TVS84J\n", "\nDLH12", "TVS84J\r", "TVS\r84J", "\r\n"]),
+    st.sampled_from(["ABC\u0661", "\u00c5BC1", "\uff21\uff22\uff23\uff11", "TVS\uff18\uff14"]),
+)
+_SPOKEN = ["skytravel", "lufthansa", "tango", "victor", "sierra", "delta", "lima", "hotel", "quebec",
+           "eight", "four", "one", "two", "nine", "juliett", "x-ray", "yankee", "descend"]
 
 
 def tvs_variants(telephony):
@@ -229,9 +247,24 @@ class TestContextMatcher:
         for _ in range(2):  # the second call reads the memos the first one filled
             assert self.check(utt, telephony, False, match)
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        context=st.lists(_CONTEXT_ENTRY, max_size=8),
+        tokens=st.lists(st.sampled_from(_SPOKEN), max_size=12),
+    )
+    def test_malformed_count_on_drawn_contexts(self, telephony, context, tokens):
+        utt = Utterance("u", tuple(tokens), context_callsigns=tuple(context))
+        want = find_matches(utt, expand_context_callsigns(context, telephony))
+        malformed = sum(CALLSIGN_RE.fullmatch(raw) is None for raw in context)
+        match = ContextMatcher(telephony)
+        for _ in range(2):  # the first call takes the regex pass, the second the well-formed set
+            stats = FilterStats()
+            assert match(utt, stats) == want
+            assert stats.malformed_callsigns == malformed
+
     def test_memos_stay_bounded(self, telephony):
         def memos():
-            return match.malformed, match.hits
+            return match.well_formed, match.hits
 
         rng = random.Random(38)
         match = ContextMatcher(telephony)
@@ -328,6 +361,12 @@ class TestCorpusJsonl:
         write_corpus([Utterance("u1", ("eight",), RoleLabel.PILOT, ("TVS84J",))], path)
         obj = json.loads(path.read_text().strip())
         assert obj == {"id": "u1", "text": "eight", "role": "pilot", "callsigns": ["TVS84J"]}
+
+    @pytest.mark.parametrize("value", ["controller", "ATCO", "", 1, 1.5, True, ["atco"], {"role": "atco"}], ids=repr)
+    def test_unknown_role_is_a_format_error(self, value):
+        with pytest.raises(CorpusFormatError) as err:
+            parse_role(value)
+        assert str(err.value) == f"unknown role {value!r} (want 'atco' or 'pilot')"
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
