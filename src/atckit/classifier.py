@@ -43,13 +43,16 @@ class ClassificationTrace:
     """Why an utterance got its label.
 
     ``evidence`` is the matched keyword (str) or the CallsignMatch; it is
-    present exactly when some positive cue fired. The fallback branch has
-    no evidence and is flagged low confidence.
+    present exactly when some positive cue fired. The fallback rule has no
+    evidence, and ``low_confidence`` is true for it and only for it.
     """
 
     fired_rule: FiredRule
     evidence: str | CallsignMatch | None = None
-    low_confidence: bool = False
+
+    @property
+    def low_confidence(self) -> bool:
+        return self.fired_rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
 
     def __post_init__(self) -> None:
         has_evidence = self.evidence is not None
@@ -139,9 +142,7 @@ def classify(
         decision = _keyword_decision(utt.tokens, lexicon) or _callsign_decision(utt, match)
     if decision is not None:
         return decision
-    return RoleLabel.PILOT, ClassificationTrace(
-        FiredRule.CALLSIGN_LATE_OR_ABSENT, None, low_confidence=True
-    )
+    return RoleLabel.PILOT, ClassificationTrace(FiredRule.CALLSIGN_LATE_OR_ABSENT)
 
 
 def classify_corpus(

@@ -157,7 +157,6 @@ def _cmd_classify(args, manifest: dict) -> int:
     counts = {"atco": 0, "pilot": 0}
     rules = {rule.value: 0 for rule in FiredRule}
     evidence_by_kind = {kind.value: 0 for kind in VariantKind}  # callsign_early decisions per variant kind
-    low_confidence = 0
     stream = classify_corpus(
         read_corpus(args.corpus),
         _role_lexicon(args),
@@ -167,14 +166,12 @@ def _cmd_classify(args, manifest: dict) -> int:
     )
 
     def write(atco: IO[str], pilot: IO[str], traces: IO[str]) -> None:
-        nonlocal low_confidence
         halves = {"atco": atco, "pilot": pilot}
         for utt, label, trace in stream:
             counts[label._value_] += 1
             rules[trace.fired_rule._value_] += 1
             if trace.fired_rule is FiredRule.CALLSIGN_EARLY:
                 evidence_by_kind[trace.evidence.variant.kind._value_] += 1
-            low_confidence += trace.low_confidence
             halves[label._value_].write(json.dumps(utt.to_json()) + "\n")
             traces.write(json.dumps({"id": utt.id, "role": label._value_, **trace.to_json()}) + "\n")
 
@@ -188,7 +185,7 @@ def _cmd_classify(args, manifest: dict) -> int:
         "counts": {**counts, "total": counts["atco"] + counts["pilot"]},
         "rules": rules,
         "evidence_by_kind": evidence_by_kind,
-        "low_confidence": low_confidence,
+        "low_confidence": rules[FiredRule.CALLSIGN_LATE_OR_ABSENT.value],
     }
     return 0
 

@@ -74,13 +74,12 @@ class CallsignMatch:
 class FilterStats:
     """Counters accumulated over one filtering run; all commutative.
 
-    ``dropped == no_context + no_match``; ``matches_by_kind`` counts the
+    ``dropped`` is ``no_context + no_match``; ``matches_by_kind`` counts the
     kept utterances' matches per variant kind.
     """
 
     total: int = 0
     kept: int = 0
-    dropped: int = 0
     no_context: int = 0
     no_match: int = 0
     malformed_callsigns: int = 0
@@ -88,13 +87,18 @@ class FilterStats:
     tokens_kept: int = 0
     matches_by_kind: dict[str, int] = field(default_factory=lambda: {k.value: 0 for k in VariantKind})
 
+    @property
+    def dropped(self) -> int:
+        return self.no_context + self.no_match
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "dropped": self.dropped}
 
 
 def _match_order(m: CallsignMatch) -> tuple:
-    # by start, longer first, then a stable tie-break over the match's content
-    return m.start_index, m.start_index - m.end_index, m.callsign.raw, m.variant.kind._value_, m.variant.tokens
+    # by start, longer first, then a stable tie-break over the match's content; one
+    # utterance's matches with the same start and end hold the same tokens
+    return m.start_index, m.start_index - m.end_index, m.callsign.raw, m.variant.kind._value_
 
 
 def find_matches(utt: Utterance, variants: Iterable[VariantEntry]) -> list[CallsignMatch]:
@@ -142,14 +146,6 @@ def expand_context_callsigns(
     return out
 
 
-def _remember(memo: dict, key: str, value):
-    """Store ``value`` under ``key``, first emptying a memo that is full."""
-    if len(memo) >= MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
 class ContextMatcher:
     """Finds an utterance's own context callsigns in it; one instance per run.
 
@@ -189,7 +185,9 @@ class ContextMatcher:
             if hit is _UNSEEN:
                 found = CALLSIGN_RE.fullmatch(raw)
                 hit = found and (Callsign._from_match(found), spoken_heads(found[1], self.lexicon))
-                _remember(self.hits, raw, hit)
+                if len(self.hits) >= MEMO_SIZE:
+                    self.hits.clear()
+                self.hits[raw] = hit
             if hit is None:
                 continue
             cs, heads = hit
@@ -229,7 +227,6 @@ def filter_corpus(
             stats.tokens_total += len(utt.tokens)
             if not utt.context_callsigns:
                 stats.no_context += 1
-                stats.dropped += 1
                 continue
             matches = match(utt, stats)
             if matches:
@@ -240,6 +237,5 @@ def filter_corpus(
                 yield utt, matches
             else:
                 stats.no_match += 1
-                stats.dropped += 1
 
     return kept(), stats

@@ -4,6 +4,7 @@ from .graphs import ARC_DTYPE, HmmGraph, OovWord, build_denominator, build_numer
 from .model import EmissionModel, MmiTask, TrainingUtterance, log_softmax
 from .objective import (
     NoPath,
+    compile_plan,
     emission_occupancy,
     forward_logprob,
     mmi_gradient,
@@ -32,6 +33,7 @@ __all__ = [
     "TrainingUtterance",
     "log_softmax",
     "NoPath",
+    "compile_plan",
     "emission_occupancy",
     "forward_logprob",
     "mmi_gradient",

@@ -210,13 +210,12 @@ def check_gradient_fd(
     worst = 0.0
     for k in range(instances):
         tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-        analytic, objective = mmi_gradient(batches, tasks, em)
-        if objective != multitask_objective(batches, tasks, em):
+        plan = compile_plan(batches, tasks)
+        analytic, objective = mmi_gradient(plan, em)
+        if objective != multitask_objective(plan, em):
             detail = f"gradient pass objective {objective!r} != multitask_objective"
             return CheckResult("gradient_vs_finite_differences", False, detail)
-        numeric = finite_difference_gradient(
-            lambda m: multitask_objective(batches, tasks, m), em, step=step
-        )
+        numeric = finite_difference_gradient(lambda m: multitask_objective(plan, m), em, step=step)
         err = gradient_relative_error(analytic, numeric)
         worst = max(worst, err)
         if not err <= tolerance:
@@ -239,9 +238,8 @@ def check_matched_graphs_zero(rng: random.Random, instances: int, tolerance: flo
         utt = batches[task.task_id][0]
         num = task.numerator_graph(utt.words)
         matched = dataclasses.replace(task, den_graph=num, alpha=1.0)
-        batch = {task.task_id: [utt]}
         objective = mmi_objective([utt], matched, em)
-        grad, _ = mmi_gradient(batch, [matched], em)
+        grad, _ = mmi_gradient(compile_plan({task.task_id: [utt]}, [matched]), em)
         if not (abs(objective) <= tolerance and grad.max_abs() <= tolerance):  # a NaN fails too
             return CheckResult(
                 "matched_graphs_zero",
@@ -258,7 +256,7 @@ def check_single_task_reduction(rng: random.Random, instances: int) -> CheckResu
     for _ in range(instances):
         tasks, batches, em = random_instance(rng, n_tasks=1)
         task = dataclasses.replace(tasks[0], alpha=1.0)
-        combined = multitask_objective(batches, [task], em)
+        combined = multitask_objective(compile_plan(batches, [task]), em)
         single = mmi_objective(batches[task.task_id], task, em)
         if combined != single:
             return CheckResult(

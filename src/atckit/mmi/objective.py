@@ -4,14 +4,15 @@ Per utterance the objective is the log ratio of the numerator-graph
 likelihood to the denominator-graph likelihood; per task it sums over that
 task's utterances; the multitask objective is the task-weighted sum.
 
-Training compiles its batches once (compile_plan), then runs one batched
-forward-backward per graph kind and pass over the rows of every task. The
-graphs are state-emitting (no arc enters the start, and all the arcs into a
-state carry the phone it emits), so the emission term factors out of each
-frame's step over W, the [Q, Q] log transition matrix. Each row's numerator
-is a chain over its transcript's phones, whose W holds only stay (q -> q)
-and advance (q -> q + 1), both log 1; each task's denominator is one W its
-rows share. Both run as the scaled forward-backward of Rabiner (1989, V-A)
+mmi_gradient and multitask_objective take a Plan, the batches as
+compile_plan compiles them once, and run one batched forward-backward per
+graph kind over the rows of every task. The graphs are state-emitting (no
+arc enters the start, and all the arcs into a state carry the phone it
+emits), so the emission term factors out of each frame's step over W, the
+[Q, Q] log transition matrix. Each row's numerator is a chain over its
+transcript's phones, whose W holds only stay (q -> q) and advance
+(q -> q + 1), both log 1; each task's denominator is one W its rows
+share. Both run as the scaled forward-backward of Rabiner (1989, V-A)
 in probability space, states as rows and batch rows as columns:
 
     alpha_hat_t = (A^T alpha_hat_{t-1} * e_t) / c_t,    c_t its column sums,
@@ -47,8 +48,9 @@ Only the alphas are kept for every frame: the backward sweep overwrites
 each frame's with its state posteriors, which one bincount adds to the
 occupancy, binned by (task, phone, symbol). The numerators run first, and
 a row whose numerator rejects its utterance counts nothing in the
-denominator's occupancy. mmi_gradient returns the objective from the same
-pass; multitask_objective is the forward-only one. forward_logprob and
+denominator's occupancy. mmi_gradient(plan, em) returns the objective from
+the same pass; multitask_objective(plan, em) is the forward-only one, and
+mmi_objective compiles its one batch itself. forward_logprob and
 emission_occupancy, over the same arc-generic recursions, are the
 references the batched passes are checked against.
 """
@@ -396,9 +398,9 @@ class Plan(NamedTuple):
 def compile_plan(batches: Mapping[int, Sequence[TrainingUtterance]], tasks: Sequence[MmiTask]) -> Plan:
     """What every pass over ``batches`` needs but the emissions: each
     numerator as a chain over its transcript's phones, each denominator in
-    state form with its linear weights, the padded symbols. A trainer builds
-    it once per run and passes it to every mmi_gradient and
-    multitask_objective call."""
+    state form with its linear weights, the padded symbols. It is the only
+    input of mmi_gradient and multitask_objective besides the model, so a
+    trainer compiles it once per run and passes it to every step."""
     ids = [t.task_id for t in tasks]
     if not tasks or len(set(ids)) != len(ids):
         raise ValueError(f"need at least one task, with distinct ids, got {ids}")
@@ -462,24 +464,12 @@ def mmi_objective(
     return _plan_pass(compile_plan({task.task_id: batch}, [task]), em, occupancy=False)[0][0]
 
 
-def multitask_objective(
-    batches: Mapping[int, Sequence[TrainingUtterance]],
-    tasks: Sequence[MmiTask],
-    em: EmissionModel,
-    plan: Plan | None = None,
-) -> float:
-    """Weighted sum of per-task objectives; reduces to the single objective at T=1, weight 1.
-    ``plan``, if given, is compile_plan(batches, tasks), built once for many passes."""
-    plan = plan or compile_plan(batches, tasks)
+def multitask_objective(plan: Plan, em: EmissionModel) -> float:
+    """Weighted sum of the plan's per-task objectives; reduces to the single objective at T=1, weight 1."""
     return sum(task.alpha * f for task, f in zip(plan.tasks, _plan_pass(plan, em, occupancy=False)[0]))
 
 
-def mmi_gradient(
-    batches: Mapping[int, Sequence[TrainingUtterance]],
-    tasks: Sequence[MmiTask],
-    em: EmissionModel,
-    plan: Plan | None = None,
-) -> tuple[EmissionModel, float]:
+def mmi_gradient(plan: Plan, em: EmissionModel) -> tuple[EmissionModel, float]:
     """Gradient of the multitask objective with respect to all logits, plus the objective.
 
     The derivative with respect to task t's emission log-probabilities is
@@ -492,9 +482,8 @@ def mmi_gradient(
     matrix only its own task's. The order is fixed, so repeated runs are
     bit-identical, and the objective is multitask_objective's to the bit.
     An unreachable numerator adds -inf to it and nothing to the gradient,
-    and one warning names such rows. ``plan`` is as in multitask_objective.
+    and one warning names such rows.
     """
-    plan = plan or compile_plan(batches, tasks)
     objectives, em_logprobs, diff = _plan_pass(plan, em, occupancy=True)
     if note := short_transcripts(plan, ", which adds -inf to the objective and nothing to the gradient"):
         logger.warning("%s", note)

@@ -86,10 +86,10 @@ def toy_train(
                 for tid in model.bias:
                     model.bias[tid] += learning_rate * grad.bias[tid]
             if step < steps:
-                grad, objective = mmi_gradient(corpus, tasks, model, plan)
+                grad, objective = mmi_gradient(plan, model)
                 grad_max_abs.append(grad.max_abs())
             else:
-                objective = multitask_objective(corpus, tasks, model, plan)
+                objective = multitask_objective(plan, model)
             if not math.isfinite(objective):
                 # before the first update only the data can be at fault, after it only the update
                 cause = "the learning rate is too large" if step else short_transcripts(plan)

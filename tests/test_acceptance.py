@@ -23,6 +23,7 @@ from atckit.mmi import (
     NoPath,
     TrainingUtterance,
     build_tasks,
+    compile_plan,
     forward_logprob,
     mmi_gradient,
     mmi_objective,
@@ -210,10 +211,9 @@ def test_c6_mmi_numerical_suite():
     grad_ok = True
     for k in range(100):
         tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-        analytic, _ = mmi_gradient(batches, tasks, em)
-        numeric = fd_gradient_oracle(
-            lambda m: multitask_objective(batches, tasks, m), em, step=1e-5
-        )
+        plan = compile_plan(batches, tasks)
+        analytic, _ = mmi_gradient(plan, em)
+        numeric = fd_gradient_oracle(lambda m: multitask_objective(plan, m), em, step=1e-5)
         err = relative_gradient_error(analytic, numeric)
         worst_grad = max(worst_grad, err)
         grad_ok = grad_ok and err <= 1e-5
@@ -229,7 +229,7 @@ def test_c6_mmi_numerical_suite():
             task.numerator_graph(utt.words), alpha=1.0,
         )
         objective = mmi_objective([utt], matched, em)
-        grad, _ = mmi_gradient({task.task_id: [utt]}, [matched], em)
+        grad, _ = mmi_gradient(compile_plan({task.task_id: [utt]}, [matched]), em)
         zero_ok = zero_ok and abs(objective) <= 1e-10 and grad.max_abs() <= 1e-10
 
     # (d) T=1, weight 1: multitask equals the single objective bit-for-bit
@@ -241,7 +241,7 @@ def test_c6_mmi_numerical_suite():
             tasks[0].den_graph, alpha=1.0,
         )
         reduction_ok = reduction_ok and multitask_objective(
-            batches, [task], em
+            compile_plan(batches, [task]), em
         ) == mmi_objective(batches[task.task_id], task, em)
 
     elapsed = time.monotonic() - started

@@ -268,5 +268,18 @@ def test_trace_serialization_shapes(role_lexicon, telephony):
     assert obj["evidence"]["start"] == 0
     keyword_trace = ClassificationTrace(FiredRule.ATCO_KEYWORD, "wind")
     assert keyword_trace.to_json()["evidence"] == {"keyword": "wind"}
-    fallback = ClassificationTrace(FiredRule.CALLSIGN_LATE_OR_ABSENT, None, low_confidence=True)
+    fallback = ClassificationTrace(FiredRule.CALLSIGN_LATE_OR_ABSENT, None)
     assert "evidence" not in fallback.to_json()
+
+
+def test_low_confidence_is_the_fallback_rule(telephony):
+    (cs, variant), *_ = tvs_variants(telephony)
+    match = CallsignMatch(cs, variant, 0, len(variant.tokens))
+    evidence = {FiredRule.ATCO_KEYWORD: "wind", FiredRule.PILOT_KEYWORD: "wilco", FiredRule.CALLSIGN_EARLY: match}
+    for rule in FiredRule:
+        trace = ClassificationTrace(rule, evidence.get(rule))
+        fallback = rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
+        assert trace.low_confidence is fallback
+        assert trace.to_json()["low_confidence"] is fallback
+    with pytest.raises(TypeError):
+        ClassificationTrace(FiredRule.CALLSIGN_LATE_OR_ABSENT, None, low_confidence=True)

@@ -13,6 +13,7 @@ from atckit.mmi import (
     TrainingUtterance,
     build_denominator,
     build_numerator,
+    compile_plan,
     emission_occupancy,
     forward_logprob,
     log_softmax,
@@ -188,7 +189,7 @@ class TestMultitask:
         tasks, batches, em = random_instance(rng, n_tasks=2)
         per_task = [mmi_objective(batches[t.task_id], t, em) for t in tasks]
         expected = sum(t.alpha * f for t, f in zip(tasks, per_task))
-        assert multitask_objective(batches, tasks, em) == pytest.approx(expected, rel=1e-15)
+        assert multitask_objective(compile_plan(batches, tasks), em) == pytest.approx(expected, rel=1e-15)
 
     def test_arithmetic_example(self, monkeypatch):
         # two tasks at weight 0.5 with per-task objectives -2 and -4 sum to -3
@@ -197,7 +198,7 @@ class TestMultitask:
         tasks = [dataclasses.replace(t, alpha=0.5) for t in tasks]
         # the pass yields each task's objective, then the tables and occupancy
         monkeypatch.setattr(objective, "_plan_pass", lambda plan, em, occupancy: ([-2.0, -4.0], None, None))
-        assert multitask_objective(batches, tasks, em) == pytest.approx(-3.0)
+        assert multitask_objective(compile_plan(batches, tasks), em) == pytest.approx(-3.0)
 
     def test_single_task_weight_one_reduces_bitwise(self):
         rng = random.Random(66)
@@ -207,29 +208,30 @@ class TestMultitask:
                 tasks[0].task_id, tasks[0].phones, tasks[0].lexicon,
                 tasks[0].den_graph, alpha=1.0,
             )
-            assert multitask_objective(batches, [task], em) == mmi_objective(
+            assert multitask_objective(compile_plan(batches, [task]), em) == mmi_objective(
                 batches[task.task_id], task, em
             )
 
     def test_linear_in_task_weights(self):
         rng = random.Random(67)
         tasks, batches, em = random_instance(rng, n_tasks=2)
+        unscaled = multitask_objective(compile_plan(batches, tasks), em)
         for c in (0.5, 2.0, 3.0):
             scaled = [
                 MmiTask(t.task_id, t.phones, t.lexicon, t.den_graph, alpha=c * t.alpha)
                 for t in tasks
             ]
-            assert multitask_objective(batches, scaled, em) == pytest.approx(
-                c * multitask_objective(batches, tasks, em), rel=1e-12
+            assert multitask_objective(compile_plan(batches, scaled), em) == pytest.approx(
+                c * unscaled, rel=1e-12
             )
 
     def test_duplicate_task_ids_rejected(self):
         rng = random.Random(68)
         tasks, batches, em = random_instance(rng, n_tasks=1)
         with pytest.raises(ValueError):
-            multitask_objective(batches, [tasks[0], tasks[0]], em)
+            multitask_objective(compile_plan(batches, [tasks[0], tasks[0]]), em)
         with pytest.raises(ValueError):
-            multitask_objective(batches, [], em)
+            multitask_objective(compile_plan(batches, []), em)
 
 
 class TestGradient:
@@ -240,23 +242,22 @@ class TestGradient:
             0, task.phones, task.lexicon, task.numerator_graph(utt.words),
             alpha=1.0,
         )
-        grad, _ = mmi_gradient({0: [utt]}, [matched], uniform_model(2, 2))
+        grad, _ = mmi_gradient(compile_plan({0: [utt]}, [matched]), uniform_model(2, 2))
         assert grad.max_abs() == 0.0
 
     def test_matches_finite_differences(self):
         rng = random.Random(69)
         for k in range(25):
             tasks, batches, em = random_instance(rng, n_tasks=1 + k % 2)
-            analytic, _ = mmi_gradient(batches, tasks, em)
-            numeric = fd_gradient_oracle(
-                lambda m: multitask_objective(batches, tasks, m), em, step=1e-5
-            )
+            plan = compile_plan(batches, tasks)
+            analytic, _ = mmi_gradient(plan, em)
+            numeric = fd_gradient_oracle(lambda m: multitask_objective(plan, m), em, step=1e-5)
             assert relative_gradient_error(analytic, numeric) <= 1e-5
 
     def test_single_task_shared_equals_bias_gradient(self):
         rng = random.Random(70)
         tasks, batches, em = random_instance(rng, n_tasks=1)
-        grad, _ = mmi_gradient(batches, tasks, em)
+        grad, _ = mmi_gradient(compile_plan(batches, tasks), em)
         np.testing.assert_array_equal(grad.shared, grad.bias[tasks[0].task_id])
 
     def test_bias_gradient_isolated_to_its_task(self):
@@ -272,16 +273,17 @@ class TestGradient:
         rng = random.Random(74)
         for _ in range(20):
             tasks, batches, em = random_instance(rng, n_tasks=2)
-            grad, objective = mmi_gradient(batches, tasks, em)
-            assert objective == multitask_objective(batches, tasks, em)
+            plan = compile_plan(batches, tasks)
+            grad, objective = mmi_gradient(plan, em)
+            assert objective == multitask_objective(plan, em)
             # an utterance too short for its numerator: -inf objective, no gradient
             task = tasks[0]
             too_short = TrainingUtterance(task.task_id, (0,), tuple(sorted(task.lexicon)) * 2)
-            padded = {**batches, task.task_id: [too_short] + batches[task.task_id]}
+            padded = compile_plan({**batches, task.task_id: [too_short] + batches[task.task_id]}, tasks)
             caplog.clear()
-            assert multitask_objective(padded, tasks, em) == -math.inf
+            assert multitask_objective(padded, em) == -math.inf
             assert not caplog.records
-            padded_grad, padded_objective = mmi_gradient(padded, tasks, em)
+            padded_grad, padded_objective = mmi_gradient(padded, em)
             assert padded_objective == -math.inf
             assert len(caplog.records) == 1
             np.testing.assert_array_equal(padded_grad.shared, grad.shared)
@@ -291,13 +293,13 @@ class TestGradient:
     def test_unreachable_numerators_share_one_warning(self, caplog):
         rng = random.Random(77)
         tasks, batches, em = random_instance(rng, n_tasks=2)
-        grad, _ = mmi_gradient(batches, tasks, em)
+        grad, _ = mmi_gradient(compile_plan(batches, tasks), em)
         padded = {
             t.task_id: [TrainingUtterance(t.task_id, (0,), tuple(sorted(t.lexicon)) * 2)] + batches[t.task_id]
             for t in tasks
         }
         caplog.clear()
-        padded_grad, padded_objective = mmi_gradient(padded, tasks, em)
+        padded_grad, padded_objective = mmi_gradient(compile_plan(padded, tasks), em)
         assert padded_objective == -math.inf
         (record,) = caplog.records
         transcript = " ".join(sorted(tasks[0].lexicon) * 2)
@@ -321,15 +323,16 @@ class TestGradient:
             return forward_backward(*args, **kwargs)
 
         monkeypatch.setattr(objective, "_forward_backward", counting)
-        _, value = mmi_gradient(padded, tasks, em)
+        _, value = mmi_gradient(compile_plan(padded, tasks), em)
         assert value == -math.inf
         assert len(calls) == 2
 
     def test_gradient_accumulation_is_deterministic(self):
         rng = random.Random(72)
         tasks, batches, em = random_instance(rng, n_tasks=2)
-        g1, _ = mmi_gradient(batches, tasks, em)
-        g2, _ = mmi_gradient(batches, tasks, em)
+        plan = compile_plan(batches, tasks)
+        g1, _ = mmi_gradient(plan, em)
+        g2, _ = mmi_gradient(plan, em)
         np.testing.assert_array_equal(g1.shared, g2.shared)
         for tid in g1.bias:
             np.testing.assert_array_equal(g1.bias[tid], g2.bias[tid])
@@ -343,7 +346,7 @@ def assert_gradient_matches_generic(den, batch, rng, lexicon=LEX, n_phones=2):
         shared=np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(n_phones)]),
         bias={0: np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(n_phones)])},
     )
-    grad, objective = mmi_gradient({0: batch}, [task], em)
+    grad, objective = mmi_gradient(compile_plan({0: batch}, [task]), em)
     lp = em.log_probs(0)
     expected, diff = 0.0, np.zeros(lp.shape)
     for utt in batch:
@@ -426,7 +429,7 @@ class TestBatchedPass:
             assert calls == {"_forward": rows, "emission_occupancy": 0}
             assert math.isfinite(value)
             assert value == pytest.approx(expected, rel=1e-12)
-            _, objective = mmi_gradient({0: [utt]}, [task], em)
+            _, objective = mmi_gradient(compile_plan({0: [utt]}, [task]), em)
             assert objective == value
             assert calls == {"_forward": 2 * rows, "emission_occupancy": rows}  # emission_occupancy runs _forward
             monkeypatch.undo()
@@ -529,7 +532,7 @@ class TestBatchedPass:
             assert total == pytest.approx(ref_total, rel=1e-12)
             expected += ref_occ
         np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12 * expected.max())
-        grad, value = mmi_gradient({0: batch}, [task], em)
+        grad, value = mmi_gradient(compile_plan({0: batch}, [task]), em)
         assert value == pytest.approx(0.0, abs=1e-9)  # numerator and denominator: one graph, one scaled pass
         for got in (grad.shared, grad.bias[0]):
             assert np.isfinite(got).all()
@@ -575,10 +578,11 @@ class TestBatchedPass:
         task = MmiTask(0, ("p0", "p1", "p2"), lexicon, den, alpha=1.0)
         em = EmissionModel(shared=np.array([[0.3, -0.4], [-1.1, 0.6], [0.2, 0.1]]), bias={0: np.zeros((3, 2))})
         batch = {0: [TrainingUtterance(0, (0, 1, 1, 0), ("b",)), TrainingUtterance(0, (1, 0, 1), ("a",))]}
+        plan = compile_plan(batch, [task])
         calls = self.count_exact_rows(monkeypatch)
-        value = multitask_objective(batch, [task], em)
+        value = multitask_objective(plan, em)
         assert calls == {"_forward": 0, "emission_occupancy": 0}
-        grad, objective_value = mmi_gradient(batch, [task], em)
+        grad, objective_value = mmi_gradient(plan, em)
         assert objective_value == value
         assert calls == {"_forward": 2, "emission_occupancy": 2}  # each row once
         monkeypatch.undo()
@@ -695,10 +699,26 @@ def test_matched_graphs_check_refuses_a_nan_gradient(monkeypatch):
     # "<= tolerance", and max_abs returns NaN when any entry is NaN
     from atckit.mmi import check
 
-    def nan_gradient(batches, tasks, em, plan=None):
+    def nan_gradient(plan, em):
         grad = EmissionModel.zeros(*em.shared.shape, em.bias)
-        grad.bias[tasks[0].task_id][0, 0] = math.nan
+        grad.bias[plan.tasks[0].task_id][0, 0] = math.nan
         return grad, 0.0
 
     monkeypatch.setattr(check, "mmi_gradient", nan_gradient)
     assert not check.check_matched_graphs_zero(random.Random(0), 1).passed
+
+
+def test_gradient_check_compiles_each_instance_once(monkeypatch):
+    # the gradient, its objective and every finite-difference probe run on one plan per instance
+    from atckit.mmi import check
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compile_plan(*args)
+
+    for module in (objective, check):
+        monkeypatch.setattr(module, "compile_plan", counting)
+    assert check.check_gradient_fd(random.Random(0), 3).passed
+    assert len(calls) == 3

@@ -12,6 +12,7 @@ from atckit.mmi import (
     OovWord,
     TrainingUtterance,
     build_tasks,
+    compile_plan,
     load_phone_lexicon,
     load_training_corpus,
     mmi_gradient,
@@ -81,8 +82,9 @@ class TestToyTrain:
         # direct loop over the per-task objective only
         em = EmissionModel.zeros(2, 2, [1])
         trace = [mmi_objective(corpus[1], task, em)]
+        plan = compile_plan(corpus, [task])
         for _ in range(steps):
-            grad, _ = mmi_gradient(corpus, [task], em)
+            grad, _ = mmi_gradient(plan, em)
             em.shared += learning_rate * grad.shared
             em.bias[1] += learning_rate * grad.bias[1]
             trace.append(mmi_objective(corpus[1], task, em))
