@@ -38,13 +38,23 @@ class FiredRule(Enum):
     CALLSIGN_LATE_OR_ABSENT = "callsign_late_or_absent"
 
 
+# the evidence each rule takes, keyed by the rule's string (an Enum member hashes through a Python call)
+_EVIDENCE_TYPES = {
+    FiredRule.ATCO_KEYWORD.value: str,
+    FiredRule.PILOT_KEYWORD.value: str,
+    FiredRule.CALLSIGN_EARLY.value: CallsignMatch,
+    FiredRule.CALLSIGN_LATE_OR_ABSENT.value: type(None),
+}
+
+
 @dataclass(frozen=True)
 class ClassificationTrace:
     """Why an utterance got its label.
 
-    ``evidence`` is the matched keyword (str) or the CallsignMatch; it is
-    present exactly when some positive cue fired. The fallback rule has no
-    evidence, and ``low_confidence`` is true for it and only for it.
+    ``evidence`` is the matched keyword (str) for a keyword rule and the
+    CallsignMatch for callsign_early; any other type raises ValueError. The
+    fallback rule has no evidence, and ``low_confidence`` is true for it and
+    only for it.
     """
 
     fired_rule: FiredRule
@@ -55,9 +65,7 @@ class ClassificationTrace:
         return self.fired_rule is FiredRule.CALLSIGN_LATE_OR_ABSENT
 
     def __post_init__(self) -> None:
-        has_evidence = self.evidence is not None
-        needs_evidence = self.fired_rule is not FiredRule.CALLSIGN_LATE_OR_ABSENT
-        if has_evidence != needs_evidence:
+        if not isinstance(self.evidence, _EVIDENCE_TYPES[self.fired_rule._value_]):
             raise ValueError(f"rule {self.fired_rule.value} with evidence={self.evidence!r}")
 
     def to_json(self) -> dict:

@@ -11,6 +11,7 @@ manifest), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -233,37 +234,34 @@ def _cmd_mmi_check(args, manifest: dict) -> int:
 def _cmd_mmi_train(args, manifest: dict) -> int:
     import numpy as np
 
-    from .mmi.train import POOLED_TASK_ID, build_tasks, load_phone_lexicon, load_training_corpus, pool_corpus
+    from .mmi.train import build_tasks, load_phone_lexicon, load_training_corpus, pool_corpus
 
     corpus = load_training_corpus(args.corpus, n_symbols=args.n_symbols)
     if not corpus:
         raise CorpusFormatError(f"{args.corpus}: no training utterances")
     lexicon = load_phone_lexicon(args.lexicon)
-    # one run per model: (its corpus, task weight, shared array name, task id -> bias array name)
-    if args.mode == "multitask":
-        plan = [(corpus, args.alpha, "shared", {tid: f"bias_{tid}" for tid in sorted(corpus)})]
-    elif args.mode == "pooled":
-        plan = [(pool_corpus(corpus), 1.0, "shared", {POOLED_TASK_ID: f"bias_{POOLED_TASK_ID}"})]
-    else:  # single: one independent model per task
-        plan = [
-            ({tid: corpus[tid]}, 1.0, f"task{tid}_shared", {tid: f"task{tid}_bias"})
-            for tid in sorted(corpus)
-        ]
+    if args.mode == "pooled":
+        corpus = pool_corpus(corpus)
+    tasks = build_tasks(corpus, lexicon, alpha=args.alpha if args.mode == "multitask" else 1.0)
+    # single: one independent model per task; else one model over every task. All train in one call
+    models = [[task] for task in tasks] if args.mode == "single" else [tasks]
+    results = toy_train(
+        models, corpus, n_symbols=args.n_symbols, steps=args.steps, learning_rate=args.learning_rate
+    )
     runs, arrays = [], {}
-    for batches, alpha, shared_name, bias_names in plan:
-        result = toy_train(
-            build_tasks(batches, lexicon, alpha=alpha), batches,
-            n_symbols=args.n_symbols, steps=args.steps, learning_rate=args.learning_rate,
-        )
+    for model_tasks, result in zip(models, results):
+        ids = [task.task_id for task in model_tasks]
         runs.append({
-            "task_ids": sorted(batches),
+            "task_ids": ids,
             "initial_objective": result.initial_objective,
             "final_objective": result.final_objective,
             "trace": result.objective_trace,
             "grad_max_abs": result.grad_max_abs,
         })
-        arrays[shared_name] = result.model.shared
-        arrays.update({name: result.model.bias[tid] for tid, name in bias_names.items()})
+        if args.mode == "single":
+            arrays.update({f"task{ids[0]}_shared": result.model.shared, f"task{ids[0]}_bias": result.model.bias[ids[0]]})
+        else:
+            arrays.update({"shared": result.model.shared, **{f"bias_{tid}": result.model.bias[tid] for tid in ids}})
     if args.out:
         _write_atomic([Path(args.out)], lambda stream: np.savez(stream, **arrays), binary=True)
         manifest["outputs"] = {"model": args.out}
@@ -291,7 +289,12 @@ def _number(convert, non_negative: bool = True, at_most: float = math.inf):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call, since building
+    it costs more than a parse. The handlers look up module names such as
+    toy_train when they run, so a name rebound after the build is still the
+    one called."""
     parser = argparse.ArgumentParser(prog="atckit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

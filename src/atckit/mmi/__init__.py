@@ -15,6 +15,7 @@ from .train import (
     DivergenceDetected,
     TrainResult,
     build_tasks,
+    divergence,
     load_phone_lexicon,
     load_training_corpus,
     pool_corpus,
@@ -42,6 +43,7 @@ __all__ = [
     "DivergenceDetected",
     "TrainResult",
     "build_tasks",
+    "divergence",
     "load_phone_lexicon",
     "load_training_corpus",
     "pool_corpus",

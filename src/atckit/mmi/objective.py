@@ -19,17 +19,22 @@ in probability space, states as rows and batch rows as columns:
 
 with A = exp(W - lift), lift the graph's largest log weight (0 for a chain),
 and e_t = exp(E[task, phone, x_t] - m[task, x_t]), m the largest emission of
-symbol x_t over the task's phones. Only the step by A differs: a stacked
-product for the denominators, two 0/1 diagonals for the chains. The total
+symbol x_t over the task's phones. Only the step by A differs: one batched
+product for the denominators, each task's A over its own block of columns,
+and two 0/1 diagonals for the chains. The total
 is sum_t (log c_t + m + lift) + log sum alpha_hat_T exp(finals); the
 backward pass runs beta_hat_{t-1} = A (e_t * beta_hat_t) / c_t from
 exp(finals) over that last sum, and the state posteriors are
 alpha_hat * beta_hat, with no exp per frame. beta_hat is set to 0 wherever
 alpha_hat is 0: a state the forward pass has not reached adds nothing to a
 posterior, and its beta_hat would otherwise grow by about e_q / c_t a frame,
-up to inf. A product takes the [Q, B] alphas or betas in column-major
-order: in every other layout tried, a row's rounding depended on the others
-(gemm's blocking varies with the column count).
+up to inf. The product takes each task's block of the [Q, B] alphas or
+betas in column-major order: in every other layout tried, a row's rounding
+depended on the others (gemm's blocking varies with the column count). The
+blocks are padded to the widest task's row count, and to at least two
+columns, with columns of no frames, which no flag or count reaches: a
+one-column product would go to gemv, and a one-column sum is pairwise,
+both rounding otherwise. A lone chain row is padded the same way.
 
 Underflow never turns a reachable state into -inf: a row in which an arc
 from a positive alpha_hat feeds a state whose unnormalized alpha_hat falls
@@ -167,23 +172,24 @@ def _pad(symbol_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 class Chains(NamedTuple):
     """Numerator chains over padded rows, for _forward_backward; see _chain_sweep.
-    Row b runs on chain b, which reads emission table table[b]."""
+    Column c runs on chain c, which reads emission table table[c]."""
 
     sym: np.ndarray  # [B, frames] symbols, zero-padded
     lengths: np.ndarray  # [B] frames per row
-    graph: np.ndarray  # [B] arange(B): each row's chain
-    table: np.ndarray  # [B] each chain's emission table
-    phone: np.ndarray  # [B, Q] each state's phone
-    finals: np.ndarray  # [B, Q] log final weights
-    stay: np.ndarray  # [Q, B] linear weight of q -> q: 1 or 0
-    advance: np.ndarray  # [Q, B] linear weight of q -> q + 1: 1 or 0
-    floor: np.ndarray  # [2, frames, Q, B] as Sweep.floor, but only where the exact value is positive
+    cols: np.ndarray  # [B] the column each row runs in
+    graph: np.ndarray  # [C] arange(C): each column's chain
+    table: np.ndarray  # [C] each chain's emission table
+    phone: np.ndarray  # [C, Q] each state's phone
+    finals: np.ndarray  # [C, Q] log final weights
+    stay: np.ndarray  # [Q, C] linear weight of q -> q: 1 or 0
+    advance: np.ndarray  # [Q, C] linear weight of q -> q + 1: 1 or 0
+    floor: np.ndarray  # [2, frames, Q, C] as Sweep.floor, but only where the exact value is positive
 
     lift = 0.0  # every weight is log 1
 
     def step(self, x: np.ndarray, back: bool) -> np.ndarray:
-        """x [Q, B] one frame along each row's chain: state q gathers from q and
-        q - 1, or with ``back`` from q and q + 1, elementwise."""
+        """x [Q, C] one frame along each column's chain: state q gathers from q
+        and q - 1, or with ``back`` from q and q + 1, elementwise."""
         out = x * self.stay
         if back:
             out[:-1] += x[1:] * self.advance[:-1]
@@ -195,14 +201,9 @@ class Chains(NamedTuple):
         """Where an arc from a positive x gathers into a state: every weight is 1."""
         return self.step(x, back) > 0
 
-    def row_graph(self, b: int) -> HmmGraph:
-        """Row b's chain as a graph, for its log-space recompute."""
-        return chain_graph(self.phone[b, self.stay[:, b] > 0])
-
-    def twice(self) -> Chains:
-        """A lone row beside a copy of itself with no frames."""
-        padded = self.sym.repeat(2, axis=0), np.append(self.lengths, 0)
-        return _chain_sweep([self.phone[0, self.stay[:, 0] > 0]] * 2, padded, self.table.repeat(2))
+    def row_graph(self, c: int) -> HmmGraph:
+        """Column c's chain as a graph, for its log-space recompute."""
+        return chain_graph(self.phone[c, self.stay[:, c] > 0])
 
 
 class Sweep(NamedTuple):
@@ -211,34 +212,37 @@ class Sweep(NamedTuple):
     graphs: tuple[HmmGraph, ...]  # for the rows recomputed in log space
     sym: np.ndarray  # [B, frames] symbols, zero-padded
     lengths: np.ndarray  # [B] frames per row
-    graph: np.ndarray  # [B] each row's graph
+    cols: np.ndarray  # [B] the column each row runs in: graph g's rows fill block g
+    graph: np.ndarray  # [C] each column's graph, C = G * width
     table: np.ndarray  # [G] arange(G): graph g reads emission table g
     phone: np.ndarray  # [G, Q] each state's phone
     finals: np.ndarray  # [G, Q] log final weights
     lift: np.ndarray  # [G] each graph's largest log weight, 0 when it has no arc
-    # [0] forward and [1] backward: row g * Q + q gathers into state q of
-    # graph g, from its predecessors or from its successors
-    linear: np.ndarray  # [2, G * Q, Q] exp(W - lift)
-    arcs: np.ndarray  # [2, G * Q, Q] where W has an arc, whatever its exp
-    floor: np.ndarray  # [2, 1, Q, B] _TINY where an arc gathers into state q of row b's graph, else -1
-    pick: np.ndarray  # [Q, B] where row b's state q lies in a flattened [G * Q, B] product
+    # [0] forward and [1] backward: row q of graph g's matrix gathers into
+    # state q, from its predecessors or from its successors
+    linear: np.ndarray  # [2, G, Q, Q] exp(W - lift)
+    arcs: np.ndarray  # [2, G, Q, Q] where W has an arc, whatever its exp
+    floor: np.ndarray  # [2, 1, Q, C] _TINY where an arc gathers into state q of column c's graph, else -1
+
+    def _blocks(self, matrices: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """matrices[g] @ graph g's block of x [Q, C], as one batched product;
+        see the module notes on the layout."""
+        g, q = self.phone.shape
+        out = np.empty((q, g, len(self.graph) // g), dtype=np.result_type(matrices, x))
+        np.matmul(matrices, np.asfortranarray(x).T.reshape(g, -1, q).transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+        return out.reshape(q, -1)
 
     def step(self, x: np.ndarray, back: bool) -> np.ndarray:
-        """x [Q, B] one frame through each row's graph, by the stacked product;
-        see the module notes on its layout."""
-        return (self.linear[int(back)] @ np.asfortranarray(x)).take(self.pick)
+        """x [Q, C] one frame through each column's graph."""
+        return self._blocks(self.linear[int(back)], x)
 
     def fed(self, x: np.ndarray, back: bool) -> np.ndarray:
         """Where an arc from a positive x gathers into a state, whatever its exp."""
-        return (self.arcs[int(back)] @ (x > 0)).take(self.pick)
+        return self._blocks(self.arcs[int(back)], x > 0)
 
-    def row_graph(self, b: int) -> HmmGraph:
-        """Row b's shared graph, for its log-space recompute."""
-        return self.graphs[self.graph[b]]
-
-    def twice(self) -> Sweep:
-        """A lone row beside a copy of itself with no frames."""
-        return _sweep(self.graphs, (self.sym.repeat(2, axis=0), np.append(self.lengths, 0)), self.graph.repeat(2))
+    def row_graph(self, c: int) -> HmmGraph:
+        """Column c's shared graph, for its log-space recompute."""
+        return self.graphs[self.graph[c]]
 
 
 def _binned(post: np.ndarray, base: np.ndarray, sym: np.ndarray, shape: tuple) -> np.ndarray:
@@ -253,8 +257,10 @@ def _binned(post: np.ndarray, base: np.ndarray, sym: np.ndarray, shape: tuple) -
 
 def _sweep(graphs: Sequence[HmmGraph], padded: tuple[np.ndarray, np.ndarray], graph) -> Sweep:
     """The graphs in state form over _pad's (sym, lengths), for _forward_backward:
-    row b runs on shared graph[b], which reads emission table graph[b]. The
-    stacked linear weights are built here, once for every pass."""
+    row b runs on shared graph[b], which reads emission table graph[b]. Graph
+    g's rows fill block g of the columns in order, every block as wide as
+    the largest and at least 2 columns, padded with columns of no frames.
+    The linear weights are built here, once for every pass."""
     weights, phone, finals = _state_form(graphs)
     # each graph's weights drop by their max, so exp cannot overflow; the
     # pass adds it back, since every frame takes one weight
@@ -262,19 +268,28 @@ def _sweep(graphs: Sequence[HmmGraph], padded: tuple[np.ndarray, np.ndarray], gr
     lift[lift == -np.inf] = 0.0
     weights -= lift[:, None, None]
     rows = np.asarray(graph, dtype=np.intp)
-    q = phone.shape[1]
-    sides = np.stack([weights.transpose(0, 2, 1), weights])  # as Sweep.linear, [2, G, Q, Q]
+    counts = np.bincount(rows, minlength=len(graphs))
+    width = max(2, int(counts.max(initial=0)))
+    order = np.argsort(rows, kind="stable")
+    cols = np.empty_like(rows)
+    cols[order] = rows[order] * width + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    col_graph = np.arange(len(graphs)).repeat(width)
+    sides = np.stack([weights.transpose(0, 2, 1), weights])  # as Sweep.linear
     arcs = sides > -np.inf
-    floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, rows].transpose(0, 2, 1).copy()[:, None]  # every frame alike
-    pick = (rows * q + np.arange(q)[:, None]) * len(rows) + np.arange(len(rows))
-    return Sweep(tuple(graphs), *padded, rows, np.arange(len(graphs)), phone, finals, lift,
-                 np.exp(sides).reshape(2, -1, q), arcs.reshape(2, -1, q), floor, pick)
+    floor = np.where(arcs.any(axis=3), _TINY, -1.0)[:, col_graph].transpose(0, 2, 1).copy()[:, None]  # every frame alike
+    return Sweep(tuple(graphs), *padded, cols, col_graph, np.arange(len(graphs)), phone, finals, lift,
+                 np.exp(sides), arcs, floor)
 
 
 def _chain_sweep(phone_seqs: Sequence[Sequence[int]], padded: tuple[np.ndarray, np.ndarray], table) -> Chains:
     """Row b's numerator over _pad's (sym, lengths), the chain over phone_seqs[b]
     on table table[b], as _sweep reads chain_graph's graph (state q > 0
-    emits phone q - 1), but kept as its two diagonals, stay and advance."""
+    emits phone q - 1), but kept as its two diagonals, stay and advance.
+    Row b runs in column b; a lone row runs beside a copy of its chain
+    with no frames, as _sweep's blocks have at least 2 columns."""
+    lengths = padded[1]
+    if len(lengths) == 1:
+        phone_seqs, table, lengths = list(phone_seqs) * 2, list(table) * 2, np.append(lengths, 0)
     k = np.array([len(p) for p in phone_seqs], dtype=np.intp)[:, None]
     state = np.arange(1 + int(k.max(initial=0)))
     emitting = (state >= 1) & (state <= k)
@@ -284,11 +299,12 @@ def _chain_sweep(phone_seqs: Sequence[Sequence[int]], padded: tuple[np.ndarray, 
     stay, advance = (np.ascontiguousarray(m.T, dtype=float) for m in (emitting, state < k))
     # the exact alpha_t is positive for 1 <= q <= min(t, k), and beta_{t-1}
     # where t - q <= T - k + 1; a state outside that support is never flagged
-    t, q, kt, last = np.arange(1, padded[0].shape[1] + 1)[:, None], state, k.T, padded[1]
-    live = (q[:, None] <= kt) & (t <= last)[:, None]  # [frames, Q, B]: a state of the chain at a frame of the row
+    t, q, kt, last = np.arange(1, padded[0].shape[1] + 1)[:, None], state, k.T, lengths
+    live = (q[:, None] <= kt) & (t <= last)[:, None]  # [frames, Q, C]: a state of the chain at a frame of the column
     back = ((q >= (t > 1)) & (q <= t - 1))[:, :, None] & ((t - q)[:, :, None] <= last - kt + 1) & (kt >= 1)
     floor = np.where(np.stack([((q >= 1) & (q <= t))[:, :, None] & live, back & live]), _TINY, -1.0)
-    return Chains(*padded, np.arange(len(k)), np.asarray(table, dtype=np.intp), phone, finals, stay, advance, floor)
+    return Chains(*padded, np.arange(len(padded[1])), np.arange(len(k)), np.asarray(table, dtype=np.intp),
+                  phone, finals, stay, advance, floor)
 
 
 def _forward_backward(
@@ -301,16 +317,16 @@ def _forward_backward(
     gets total -inf and adds nothing to gamma; nor do the padded frames.
     Scaled in probability space; see the module notes.
     """
-    if len(sweep.lengths) == 1:
-        # a lone row would take numpy's one-column paths (a gemv product, a pairwise
-        # column sum), which round otherwise than a batch's: run it beside a copy of
-        # no frames, which no flag or count reaches, and drop the copy's total
-        alone = np.array([True if counted is None else counted[0], False])
-        totals, gamma = _forward_backward(sweep.twice(), em_logprobs, occupancy, alone)
-        return totals[:1], gamma
-    sym, lengths, graph, table = sweep.sym, sweep.lengths, sweep.graph, sweep.table
+    graph, table, cols = sweep.graph, sweep.table, sweep.cols
     q = sweep.phone.shape[1]
-    batch, frames = sym.shape
+    batch, frames = len(graph), sweep.sym.shape[1]
+    # the rows in their columns; a column of no row has no frames, so no flag or count reaches it
+    sym = np.zeros((batch, frames), dtype=np.intp)
+    sym[cols] = sweep.sym
+    lengths = np.zeros(batch, dtype=np.intp)
+    lengths[cols] = sweep.lengths
+    wanted = np.zeros(batch, dtype=bool)
+    wanted[cols] = True if counted is None else counted
     floor_in, floor_out = np.broadcast_to(sweep.floor, (2, frames, q, batch))
     top = em_logprobs.max(axis=1)  # [T, symbols]: each symbol's largest emission over the phones
     top[~(top > -np.inf)] = 0.0  # a symbol no phone emits, or NaN parameters, stay unshifted
@@ -356,9 +372,9 @@ def _forward_backward(
     for b, (_, total) in redone.items():
         totals[b] = total
     if not occupancy:
-        return totals, None
+        return totals[cols], None
 
-    counted = (totals > -np.inf) & (True if counted is None else counted)
+    counted = (totals > -np.inf) & wanted
     # beta_hat at each row's last frame: its shifted finals over their alpha_hat-weighted sum
     final = np.divide(final, z[:, None], out=np.zeros_like(final), where=(counted & ~redo)[:, None])
     divisor = np.maximum(scale, _TINY)
@@ -383,7 +399,7 @@ def _forward_backward(
     gamma = _binned(post, base, np.ascontiguousarray(sym.T)[:, None], em_logprobs.shape)
     for b in np.flatnonzero(redo & counted):
         gamma[row_table[b]] += (redone.get(b) or exact(b))[0]
-    return totals, gamma
+    return totals[cols], gamma
 
 
 class Plan(NamedTuple):
@@ -428,7 +444,7 @@ def _plan_pass(plan: Plan, em: EmissionModel, occupancy: bool) -> tuple:
         i = int(np.argmax(den == -np.inf))
         raise NoPath(f"denominator accepts no path of length {len(plan.rows[i].symbols)}")
     # a denominator row runs on its task's graph
-    objectives = np.bincount(plan.den.graph, weights=num - den, minlength=len(plan.tasks)).tolist()
+    objectives = np.bincount(plan.den.graph[plan.den.cols], weights=num - den, minlength=len(plan.tasks)).tolist()
     return objectives, em_logprobs, (num_occ - den_occ if occupancy else None)
 
 
@@ -437,7 +453,7 @@ def short_transcripts(plan: Plan, consequence: str = "") -> str:
     and the first three transcripts too long to fit; '' when all fit. A chain
     of k phones, whose one final state is k, fits T >= 1 frames when
     1 <= k <= T, so an empty transcript fits none."""
-    k = plan.num.finals.argmax(axis=1)
+    k = plan.num.finals[plan.num.cols].argmax(axis=1)
     long = [" ".join(plan.rows[i].words) for i in np.flatnonzero(k > plan.num.lengths)]
     empty = int(np.count_nonzero(k == 0))
     heads = []
@@ -464,12 +480,24 @@ def mmi_objective(
     return _plan_pass(compile_plan({task.task_id: batch}, [task]), em, occupancy=False)[0][0]
 
 
-def multitask_objective(plan: Plan, em: EmissionModel) -> float:
+class Objective(float):
+    """The task-weighted sum of a pass's per-task objectives, in task order,
+    keeping each task's own in ``per_task`` for a trainer of several models."""
+
+    per_task: tuple[float, ...]
+
+    def __new__(cls, tasks: Sequence[MmiTask], objectives: Sequence[float]) -> Objective:
+        self = super().__new__(cls, sum(task.alpha * f for task, f in zip(tasks, objectives)))
+        self.per_task = tuple(objectives)
+        return self
+
+
+def multitask_objective(plan: Plan, em: EmissionModel) -> Objective:
     """Weighted sum of the plan's per-task objectives; reduces to the single objective at T=1, weight 1."""
-    return sum(task.alpha * f for task, f in zip(plan.tasks, _plan_pass(plan, em, occupancy=False)[0]))
+    return Objective(plan.tasks, _plan_pass(plan, em, occupancy=False)[0])
 
 
-def mmi_gradient(plan: Plan, em: EmissionModel) -> tuple[EmissionModel, float]:
+def mmi_gradient(plan: Plan, em: EmissionModel) -> tuple[EmissionModel, Objective]:
     """Gradient of the multitask objective with respect to all logits, plus the objective.
 
     The derivative with respect to task t's emission log-probabilities is
@@ -492,4 +520,4 @@ def mmi_gradient(plan: Plan, em: EmissionModel) -> tuple[EmissionModel, float]:
         g = d - np.exp(lp) * d.sum(axis=1, keepdims=True)
         grad.shared += task.alpha * g
         grad.bias[task.task_id] += task.alpha * g
-    return grad, sum(task.alpha * f for task, f in zip(plan.tasks, objectives))
+    return grad, Objective(plan.tasks, objectives)

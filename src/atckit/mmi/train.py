@@ -29,7 +29,7 @@ from .model import DEFAULT_TASK_WEIGHT, EmissionModel, MmiTask, TrainingUtteranc
 from .objective import compile_plan, mmi_gradient, multitask_objective, short_transcripts
 
 POOLED_TASK_ID = 0  # the one task pool_corpus merges every utterance into
-DIVERGENCE_PATIENCE = 10  # consecutive objective decreases that abort training
+DIVERGENCE_PATIENCE = 10  # consecutive steps of falls, or below the initial objective, that abort training
 
 
 @dataclass
@@ -50,58 +50,84 @@ class TrainResult:
 
 
 def toy_train(
-    tasks: Sequence[MmiTask],
+    tasks: Sequence[MmiTask] | Sequence[Sequence[MmiTask]],
     corpus: Mapping[int, Sequence[TrainingUtterance]],
     *,
     n_symbols: int,
     steps: int,
     learning_rate: float,
-) -> TrainResult:
+) -> TrainResult | list[TrainResult]:
     """Plain full-batch gradient ascent on the weighted multitask objective.
 
-    The trace holds the objective at initialization and after every
-    update; with a small enough learning rate on fixed batches it is
-    non-decreasing. The result also keeps each applied gradient's largest
-    absolute entry. The run compiles its batches once; each step takes its
-    trace point and gradient from one mmi_gradient pass, and only the point
-    after the last update comes from multitask_objective. DIVERGENCE_PATIENCE
-    consecutive decreases, or any objective that is not finite, abort with
-    DivergenceDetected. A non-finite gradient is applied and makes the next
-    objective non-finite, so numpy's overflow and invalid-value warnings on
-    the way would only repeat that error and are silenced.
+    ``tasks`` are one model's tasks, which share its shared matrix, or a
+    sequence of several models' tasks: those train side by side, each with
+    its own parameters, and the result is then one TrainResult per model.
+    One plan is compiled over every task, and each step takes every model's
+    trace point and gradient from one mmi_gradient pass; only the point
+    after the last update comes from multitask_objective. With a small
+    enough learning rate on fixed batches a trace is non-decreasing. A
+    model whose objective is not finite, or whose trace shows
+    ``divergence``, aborts the run with DivergenceDetected. A non-finite
+    gradient is applied and makes the next objective non-finite, so numpy's
+    overflow and invalid-value warnings on the way would only repeat that
+    error and are silenced.
     """
-    tasks = list(tasks)
-    for task in tasks:
+    several = not isinstance(tasks[0], MmiTask)
+    groups = [list(group) for group in tasks] if several else [list(tasks)]
+    flat = [task for group in groups for task in group]
+    for task in flat:
         if not corpus.get(task.task_id):
             raise ValueError(f"task {task.task_id} has no training utterances")
-    model = EmissionModel.zeros(len(tasks[0].phones), n_symbols, [t.task_id for t in tasks])
-    plan = compile_plan(corpus, tasks)
-    trace: list[float] = []
-    grad_max_abs: list[float] = []
-    drops = 0
+    models = [EmissionModel.zeros(len(flat[0].phones), n_symbols, [t.task_id for t in group]) for group in groups]
+    plan = compile_plan(corpus, flat)
+    results = [TrainResult(model) for model in models]
+    # an error names the failing model's tasks when there are several models
+    labels = [f"tasks {[t.task_id for t in group]}: " if len(groups) > 1 else "" for group in groups]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
-                model.shared += learning_rate * grad.shared
-                for tid in model.bias:
-                    model.bias[tid] += learning_rate * grad.bias[tid]
+                for model, grad in zip(models, grads):
+                    model.shared += learning_rate * grad.shared
+                    for tid in model.bias:
+                        model.bias[tid] += learning_rate * grad.bias[tid]
+            # every task's logits as one model's, for the one pass over the plan
+            joint = EmissionModel(np.zeros_like(models[0].shared),
+                                  {tid: model.effective_logits(tid) for model in models for tid in model.bias})
             if step < steps:
-                grad, objective = mmi_gradient(plan, model)
-                grad_max_abs.append(grad.max_abs())
+                grad, objective = mmi_gradient(plan, joint)
+                # a model's shared matrix takes its own tasks' gradients, summed in task order as mmi_gradient does
+                grads = [EmissionModel(sum((grad.bias[tid] for tid in model.bias), np.zeros_like(grad.shared)),
+                                       {tid: grad.bias[tid] for tid in model.bias}) for model in models]
+                for result, model_grad in zip(results, grads):
+                    result.grad_max_abs.append(model_grad.max_abs())
             else:
-                objective = multitask_objective(plan, model)
-            if not math.isfinite(objective):
-                # before the first update only the data can be at fault, after it only the update
-                cause = "the learning rate is too large" if step else short_transcripts(plan)
-                raise DivergenceDetected(f"objective is {objective} after {step} steps: {cause}")
-            drops = drops + 1 if trace and objective < trace[-1] else 0
-            trace.append(objective)
-            if drops >= DIVERGENCE_PATIENCE:
-                raise DivergenceDetected(
-                    f"objective fell for {drops} consecutive steps "
-                    f"(last {trace[-1]:.6f}); lower the learning rate"
-                )
-    return TrainResult(model=model, objective_trace=trace, grad_max_abs=grad_max_abs)
+                objective = multitask_objective(plan, joint)
+            per_task = iter(objective.per_task)
+            for group, result, where in zip(groups, results, labels):
+                value = sum(task.alpha * next(per_task) for task in group)
+                if not math.isfinite(value):
+                    # before the first update only the data can be at fault, after it only the update
+                    cause = "the learning rate is too large" if step else short_transcripts(plan)
+                    raise DivergenceDetected(f"{where}objective is {value} after {step} steps: {cause}")
+                result.objective_trace.append(value)
+                if reason := divergence(result.objective_trace):
+                    raise DivergenceDetected(f"{where}{reason}; lower the learning rate")
+    return results if several else results[0]
+
+
+def divergence(trace: Sequence[float]) -> str | None:
+    """Why a run with this objective trace has diverged, or None: each of its
+    last DIVERGENCE_PATIENCE steps fell, or each ended below the initial
+    objective. A learning rate too large can make the objective oscillate
+    as it falls, so the falls need not come in a row."""
+    last = trace[-DIVERGENCE_PATIENCE - 1 :]
+    if len(last) > DIVERGENCE_PATIENCE:
+        if all(b < a for a, b in zip(last, last[1:])):
+            return f"objective fell for {DIVERGENCE_PATIENCE} consecutive steps (last {trace[-1]:.6f})"
+        if all(f < trace[0] for f in last[1:]):
+            return (f"objective stayed below its initial value {trace[0]:.6f} for "
+                    f"{DIVERGENCE_PATIENCE} consecutive steps (last {trace[-1]:.6f})")
+    return None
 
 
 def load_phone_lexicon(path: str | Path) -> dict[str, tuple[str, ...]]:
@@ -132,9 +158,10 @@ def load_training_corpus(path: str | Path, n_symbols: int) -> dict[int, list[Tra
         task, symbols, words = obj.get("task"), obj.get("symbols"), obj.get("words")
         if type(task) is not int:  # JSON integers decode to exactly int; bool is not one
             raise CorpusFormatError("'task' must be an integer")
-        if not isinstance(symbols, list) or not symbols or not all(type(s) is int for s in symbols):
+        # set(map(type, ...)) and min/max run at C speed; bool is a type of its own, so it is refused
+        if not isinstance(symbols, list) or not symbols or set(map(type, symbols)) != {int}:
             raise CorpusFormatError("'symbols' must be a non-empty array of integers")
-        if not all(0 <= s < n_symbols for s in symbols):
+        if min(symbols) < 0 or max(symbols) >= n_symbols:
             raise CorpusFormatError(f"symbol ids must lie in [0, {n_symbols}), got {symbols}")
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
             raise CorpusFormatError("'words' must be an array of strings")

@@ -259,6 +259,25 @@ def test_trace_requires_evidence_exactly_when_a_cue_fired():
         ClassificationTrace(FiredRule.CALLSIGN_LATE_OR_ABSENT, "wind")
 
 
+def test_trace_refuses_evidence_of_another_rule(telephony):
+    # a keyword rule takes the keyword, callsign_early the match, the fallback nothing;
+    # each other pairing would serialize as evidence the rule never looks at
+    (cs, variant), *_ = tvs_variants(telephony)
+    match = CallsignMatch(cs, variant, 0, len(variant.tokens))
+    takes = {
+        FiredRule.ATCO_KEYWORD: "wind",
+        FiredRule.PILOT_KEYWORD: "wilco",
+        FiredRule.CALLSIGN_EARLY: match,
+        FiredRule.CALLSIGN_LATE_OR_ABSENT: None,
+    }
+    for rule, evidence in takes.items():
+        ClassificationTrace(rule, evidence)
+        for wrong in ("wind", match, None, 7):
+            if type(wrong) is not type(evidence):
+                with pytest.raises(ValueError, match=rule.value):
+                    ClassificationTrace(rule, wrong)
+
+
 def test_trace_serialization_shapes(role_lexicon, telephony):
     utt = Utterance("u", tokenize("skytravel eight four juliett"))
     _, trace = classify(utt, role_lexicon, over(tvs_variants(telephony)))

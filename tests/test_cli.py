@@ -859,7 +859,42 @@ class TestMmiCli:
         corpus, lexicon = self.write_training_files(tmp_path)
         code, _, _ = self.run_train(capsys, corpus, lexicon, "--mode", "single", n_symbols="2")
         assert code == 0
-        assert [sorted(tasks) for tasks in calls] == [[1], [2]]
+        assert [sorted(tasks) for tasks in calls] == [[1, 2]]  # single mode trains every task's model in one call
+
+    def test_single_mode_equals_each_task_trained_alone(self, tmp_path, capsys):
+        # single mode trains every task's model from one plan: each task's
+        # trace and arrays are those of the task's own corpus run alone, bit
+        # for bit, whatever the other tasks' row counts (here 4, 1 and 3)
+        rng = random.Random(85)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("ab\ta b\nba\tb a\nc\tc\nabc\ta b c\n", encoding="utf-8")
+        records = {tid: [] for tid in (1, 2, 3)}
+        for tid, n in zip(records, (4, 1, 3)):
+            for _ in range(n):
+                words = [rng.choice(["ab", "ba", "c", "abc"]) for _ in range(rng.randint(1, 3))]
+                frames = sum(len(w) for w in words) + rng.randint(0, 3)
+                records[tid].append(json.dumps({"task": tid, "symbols": [rng.randrange(4) for _ in range(frames)],
+                                                "words": words}))
+        corpus = tmp_path / "train.jsonl"
+        write_lines(corpus, [line for lines in records.values() for line in lines])
+        argv = ["mmi-train", "--lexicon", str(lexicon), "--n-symbols", "4", "--mode", "single",
+                "--steps", "20", "--learning-rate", "0.05"]
+        code, manifest, _ = run_cli(capsys, argv + ["--corpus", str(corpus), "--out", str(tmp_path / "all.npz")])
+        assert code == 0
+        runs = manifest["result"]["runs"]
+        assert [run["task_ids"] for run in runs] == [[1], [2], [3]]
+        with np.load(tmp_path / "all.npz") as arrays:
+            joint = {name: arrays[name] for name in arrays.files}
+        for tid, run in zip(records, runs):
+            alone = tmp_path / f"task{tid}.jsonl"
+            write_lines(alone, records[tid])
+            code, own, _ = run_cli(capsys, argv + ["--corpus", str(alone), "--out", str(tmp_path / f"{tid}.npz")])
+            assert code == 0
+            assert own["result"]["runs"] == [run]
+            with np.load(tmp_path / f"{tid}.npz") as arrays:
+                assert arrays.files == [f"task{tid}_shared", f"task{tid}_bias"]
+                for name in arrays.files:
+                    assert np.array_equal(arrays[name], joint[name])
 
     def test_train_oov_word_is_a_data_error(self, tmp_path, capsys):
         corpus, lexicon = self.write_training_files(tmp_path)
@@ -945,6 +980,12 @@ class TestHarness:
             main([arg.format(d=tmp_path) for arg in argv] + ["--pretty"])
         assert excinfo.value.code == 2
 
+    def test_parser_is_built_once_on_the_first_call(self):
+        # building the parser costs more than parsing; importing the module must not build it
+        proc = run_fresh(["-c", _PARSER_SCRIPT])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 1, 1, True]
+
     def test_benchmark_tracer_names_resolve(self):
         # perfbench wraps module-level names of the program; dropping one of
         # them breaks traced benchmark runs
@@ -1012,6 +1053,21 @@ class TestHarness:
         declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
         _, manifest, _ = run_cli(capsys, ["expand", "--callsign", "TVS84J"])
         assert manifest["version"] == atckit.__version__ == declared
+
+
+# the parser cache's size after importing atckit.cli and after each of two
+# cli.main calls, and whether the two calls parsed with one parser
+_PARSER_SCRIPT = """
+import contextlib, io, json
+from atckit import cli
+
+sizes = [cli.build_parser.cache_info().currsize]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["expand", "--callsign", "TVS84J"])
+    sizes.append(cli.build_parser.cache_info().currsize)
+print(json.dumps(sizes + [cli.build_parser() is cli.build_parser()]))
+"""
 
 
 # reports, after importing atckit.cli and after each cli.main(argv), which of

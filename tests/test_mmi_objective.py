@@ -399,6 +399,48 @@ class TestBatchedPass:
             _, batch_occ = _forward_backward(batch, lp, occupancy=True, counted=np.arange(len(seqs)) == i)
             np.testing.assert_array_equal(occ, batch_occ)
 
+    def test_one_row_task_is_bitwise_its_own_plan(self):
+        # each task's denominator rows take one product over its own block of
+        # columns, padded to the widest block: a task of one row beside wider
+        # ones gets the totals, occupancy, objective and gradient of its own plan
+        rng = random.Random(84)
+        lexicon = {f"w{i}": tuple(rng.randrange(6) for _ in range(rng.randint(1, 3))) for i in range(8)}
+        phones = tuple(f"p{i}" for i in range(6))
+        for _ in range(15):
+            sizes = [1, rng.randint(2, 6), rng.randint(2, 6)]
+            rng.shuffle(sizes)
+            batches = {}
+            for tid, n in enumerate(sizes, start=1):
+                batches[tid] = []
+                for _ in range(n):
+                    words = tuple(rng.choice(sorted(lexicon)) for _ in range(rng.randint(1, 3)))
+                    frames = sum(len(lexicon[w]) for w in words) + rng.randint(0, 4)
+                    batches[tid].append(TrainingUtterance(tid, tuple(rng.randrange(5) for _ in range(frames)), words))
+            tasks = [
+                MmiTask(tid, phones, lexicon, build_denominator(
+                    range(6), phone_bigram_counts([[p for w in u.words for p in lexicon[w]] for u in batch])))
+                for tid, batch in batches.items()
+            ]
+            em = EmissionModel(shared=np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(6)]),
+                               bias={tid: np.array([[rng.uniform(-1, 1) for _ in range(5)] for _ in range(6)])
+                                     for tid in batches})
+            k = sizes.index(1)
+            task = tasks[k]
+            joint = compile_plan(batches, tasks)
+            alone = compile_plan({task.task_id: batches[task.task_id]}, [task])
+            row = joint.rows.index(batches[task.task_id][0])
+            lp = np.stack([em.log_probs(t.task_id) for t in tasks])
+            for kind in ("num", "den"):
+                mask = np.arange(len(joint.rows)) == row
+                totals, occ = _forward_backward(getattr(joint, kind), lp, occupancy=True, counted=mask)
+                total, own = _forward_backward(getattr(alone, kind), lp[k : k + 1], occupancy=True)
+                assert totals[row] == total[0]
+                np.testing.assert_array_equal(occ[k], own[0])
+            objectives, _, diff = objective._plan_pass(joint, em, occupancy=True)
+            own_objectives, _, own_diff = objective._plan_pass(alone, em, occupancy=True)
+            assert objectives[k] == own_objectives[0]
+            np.testing.assert_array_equal(diff[k], own_diff[0])
+
     def test_underflowing_linear_sum_is_recomputed(self, monkeypatch):
         # a chain phone emits a symbol more than 745 nats below the task's
         # best phone for it, so even shifted by that best emission its factor

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atckit.corpus import CorpusFormatError
+from atckit.mmi.objective import Objective
 from atckit.mmi import (
     DivergenceDetected,
     EmissionModel,
@@ -13,6 +14,7 @@ from atckit.mmi import (
     TrainingUtterance,
     build_tasks,
     compile_plan,
+    divergence,
     load_phone_lexicon,
     load_training_corpus,
     mmi_gradient,
@@ -143,6 +145,49 @@ class TestToyTrain:
         tasks = build_tasks(corpus, WORD_PHONES)
         with pytest.raises(DivergenceDetected):
             toy_train(tasks, corpus, n_symbols=2, steps=40, learning_rate=-0.2)
+
+    @staticmethod
+    def run_made_traces(monkeypatch, traces):
+        """toy_train over one single-task model per trace, its passes replaced
+        by ones that return the traces' values in turn and a zero gradient."""
+        import atckit.mmi.train as train
+
+        corpus = two_task_corpus()
+        tasks = build_tasks(corpus, WORD_PHONES, alpha=1.0)[: len(traces)]
+        points = iter(zip(*traces))
+
+        def objective(plan, em):
+            return Objective(plan.tasks, next(points))
+
+        monkeypatch.setattr(train, "multitask_objective", objective)
+        monkeypatch.setattr(train, "mmi_gradient", lambda plan, em: (EmissionModel.zeros(2, 2, em.bias), objective(plan, em)))
+        return toy_train([[task] for task in tasks], corpus, n_symbols=2, steps=len(traces[0]) - 1, learning_rate=0.1)
+
+    # falls and rises in turn, so it never falls twice in a row, but ends
+    # each of its 10 steps below where it started
+    OSCILLATING = [10.0, 9.0, 9.5, 8.0, 8.7, 7.0, 7.9, 6.0, 7.2, 5.0, 6.4]
+    # falls often, and below its start at first, but never for 10 steps in a row
+    RISING = [10.0, 9.0, 9.5, 8.9, 9.8, 9.6, 9.9, 9.7, 10.5, 10.1, 11.0, 10.6, 11.5, 11.1, 12.0]
+
+    def test_oscillating_descent_is_divergence(self, monkeypatch):
+        assert divergence(self.OSCILLATING[:-1]) is None
+        with pytest.raises(DivergenceDetected) as excinfo:
+            self.run_made_traces(monkeypatch, [self.OSCILLATING])
+        assert str(excinfo.value) == (
+            "objective stayed below its initial value 10.000000 for 10 consecutive steps (last 6.400000); "
+            "lower the learning rate"
+        )
+
+    def test_noisy_rise_is_not_divergence(self, monkeypatch):
+        assert all(divergence(self.RISING[:n]) is None for n in range(1, len(self.RISING) + 1))
+        (result,) = self.run_made_traces(monkeypatch, [self.RISING])
+        assert result.objective_trace == self.RISING
+
+    def test_divergence_is_judged_per_model(self, monkeypatch):
+        # the healthy model does not hide the diverging one, which the message names
+        rising = self.RISING[: len(self.OSCILLATING)]
+        with pytest.raises(DivergenceDetected, match=r"^tasks \[2\]: objective stayed below its initial value"):
+            self.run_made_traces(monkeypatch, [rising, self.OSCILLATING])
 
     def test_missing_task_data_rejected(self):
         corpus = two_task_corpus()
